@@ -22,12 +22,12 @@ from math import gcd
 
 from .errors import PrecisionObstruction
 from .matrices import Mat2, ModMat, diag_mod, identity_mod, sl2_lift
-from .numth import factor
+from .numth import crt, factor
 
 LevelMatrix = ModMat  # GL2 over Z/N with unit determinant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitPart:
     """d_delta * s: a congruence unit times an integral determinant-one part."""
 
@@ -55,7 +55,7 @@ class UnitPart:
         return self.delta % self.level if self.level > 1 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShapeKind:
     """Torus/normalizer shape parameters: the square-free m and a branch sign."""
 
@@ -69,7 +69,7 @@ class ShapeKind:
             raise ValueError("branch must be +-1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdelicMatrix:
     r: Mat2
     u: UnitPart
@@ -98,7 +98,11 @@ class AdelicMatrix:
     # -- views ----------------------------------------------------------------
 
     def rational_primes(self) -> set:
-        """Primes where the rational part fails to be an integral unit."""
+        """Primes where the rational part fails to be an integral unit.
+
+        Factors every entry, so its cost grows with the size of the
+        rational data; checks against a level use _noninvertible_primes,
+        which tests only the primes of the level."""
         primes: set = set()
         det = self.r.det()
         for x in self.r.entries:
@@ -128,9 +132,8 @@ def reduce_level(g: AdelicMatrix, n: int) -> ModMat:
     """
     if n == 1:
         return identity_mod(1)
-    for p in sorted(g.rational_primes()):
-        if n % p == 0:
-            raise PrecisionObstruction(p)
+    for p in sorted(_noninvertible_primes(g.r, n)):
+        raise PrecisionObstruction(p)
     level = g.level
     delta_residues = []
     for p, e in factor(n).factors:
@@ -145,8 +148,6 @@ def reduce_level(g: AdelicMatrix, n: int) -> ModMat:
             delta_residues.append((g.u.delta % p**e, p**e))
         else:
             delta_residues.append((1, p**e))
-    from .numth import crt
-
     delta_n = crt(delta_residues)[0]
     return g.r.mod(n) * diag_mod(delta_n, n) * g.u.s.mod(n)
 
@@ -180,7 +181,8 @@ def mul(g1: AdelicMatrix, g2: AdelicMatrix) -> AdelicMatrix:
 
 
 def _noninvertible_primes(r: Mat2, n: int) -> set:
-    """Primes of n where r is not an integral unit."""
+    """Primes of n where r is not an integral unit: the primes of n among
+    AdelicMatrix(r, ...).rational_primes(), found without factoring r."""
     if n == 1:
         return set()
     out = set()

@@ -19,6 +19,7 @@ from .adele import ShapeKind, conj_by_dlambda, shape_test, unit_rightmul
 from .errors import RViolation
 from .galois import GaloisShadow, identity_shadow, shadow_act, shadow_eq
 from .matrices import ModMat, diag_mod
+from .numth import intersect_progressions, solve_linear_congruence, units_mod
 from .shimura import (
     ComponentIndex,
     LevelPoint,
@@ -29,7 +30,7 @@ from .shimura import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxPoint:
     """The class of a LevelPoint under the diagonal-unit equivalence."""
 
@@ -42,12 +43,6 @@ class ApproxPoint:
     @property
     def orbit(self) -> int:
         return self.point.tau.m
-
-
-def units_mod(n: int):
-    if n == 1:
-        return [0]
-    return [x for x in range(1, n) if gcd(x, n) == 1]
 
 
 def approx_eq(P1: ApproxPoint, P2: ApproxPoint) -> bool:
@@ -89,7 +84,7 @@ def canonical_rep(P: ApproxPoint) -> LevelPoint:
 # -- curve components -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveComponentLabel:
     """One irreducible component of the correspondence induced by h: the
     graph of the transformation labelled by the component index mu."""
@@ -124,7 +119,7 @@ def eval_curve(label: CurveComponentLabel, P: ApproxPoint) -> ApproxPoint:
 # -- the four-point relation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationWitness:
     lam: int
     branch: int
@@ -143,7 +138,8 @@ def pair_witnesses(s: ApproxPoint, t: ApproxPoint) -> dict:
     Keyed by (determinant, branch), values are frozensets.  The finitely many
     integral witnesses of the underlying point equality are composed with
     every diagonal twist, so the set is complete: every valid r arises from
-    one such pair.
+    one such pair.  The twists that give a shape are solved for, not
+    scanned, so the cost does not grow with the level.
     """
     if s.level != t.level:
         raise ValueError("level mismatch")
@@ -164,14 +160,11 @@ def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
             out[(0, 1)] = {identity_shadow((m,), 1).components[0]}
         return tuple((k, frozenset(v)) for k, v in out.items())
     ra = A.a.rational_mod(n)
-    ra_inv = ra.inv()
     ua, ub = A.unit_matrix(), B.unit_matrix()
-    ua_inv = ua.inv()
+    right = ua.inv() * ra.inv()
     for M in rigid_witnesses(A, B):
-        m_inv_mod = M.inv().mod(n)
-        left = ra * m_inv_mod * ub
-        right = ua_inv * ra_inv
-        for nu in units_mod(n):
+        left = ra * M.inv().mod(n) * ub
+        for nu in _shape_twists(left, right, m):
             r = left * diag_mod(nu, n) * right
             for branch in (1, -1):
                 ok, _ = shape_test(r, ShapeKind(m, branch))
@@ -179,6 +172,34 @@ def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
                     out.setdefault((r.det(), branch), set()).add(r)
                     break
     return tuple((k, frozenset(v)) for k, v in out.items())
+
+
+def _shape_twists(left: ModMat, right: ModMat, m: int) -> set:
+    """The units nu mod N for which left * diag(nu, 1) * right is a
+    normalizer shape for sqrt(-m) of either branch.
+
+    The product is nu*P + Q, with P = (column 1 of left)(row 1 of right)
+    and Q = (column 2 of left)(row 2 of right), so each branch's two shape
+    conditions are linear congruences in nu: the answer is at most two
+    progressions mod N, and the work is bounded by their size, not by
+    phi(N).
+    """
+    n = left.n
+    l11, l12, l21, l22 = left.entries
+    r11, r12, r21, r22 = right.entries
+    pa, pb, pc, pd = l11 * r11, l11 * r12, l21 * r11, l21 * r12
+    qa, qb, qc, qd = l12 * r21, l12 * r22, l22 * r21, l22 * r22
+    out = set()
+    # branch +1: d - a = b + m*c = 0; branch -1: d + a = b - m*c = 0 (mod N)
+    for sign in (1, -1):
+        prog = intersect_progressions(
+            solve_linear_congruence(pd - sign * pa, qd - sign * qa, n),
+            solve_linear_congruence(pb + sign * m * pc, qb + sign * m * qc, n),
+        )
+        if prog is not None:
+            start, step = prog
+            out.update(nu for nu in range(start, n, step) if gcd(nu, n) == 1)
+    return out
 
 
 def relation_witness(s1, s2, t1, t2):
@@ -226,7 +247,7 @@ def spanning_sample(support, level: int) -> list:
     out = []
     shear = ModMat(1, 1, 0, 1, level)
     matrices = [ModMat(1, 0, 0, 1, level), shear]
-    for lam in units_mod(level)[:3]:
+    for lam in units_mod(level, limit=3):
         if level > 1 and lam != 1:
             matrices.append(diag_mod(lam, level))
             matrices.append(diag_mod(lam, level) * shear)

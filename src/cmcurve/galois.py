@@ -26,12 +26,12 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .matrices import Mat2, ModMat, identity_mod
-from .numth import crt, factor, is_squarefree, sqrt_mod
+from .numth import crt, factor, is_prime, is_squarefree, sqrt_mod_unchecked, units_mod
 from .qforms import norm_obstruction, solve_form_rational
 from .shimura import LevelPoint, orbit_rep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaloisShadow:
     support: tuple  # distinct square-free positive integers, ordered
     components: tuple  # one ModMat per supported orbit
@@ -49,7 +49,12 @@ class GaloisShadow:
             raise ValueError("support/component length mismatch")
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "det", self.det % n if n > 1 else 0)
+        if n == 1:
+            object.__setattr__(self, "det", 0)
+        elif type(self.det) is not int or not 0 <= self.det < n:
+            # a det already in range keeps its object, shared with the
+            # caller's lambda (surjective_common_det's keys)
+            object.__setattr__(self, "det", self.det % n)
         for m, comp in zip(self.support, self.components):
             if not is_squarefree(m):
                 raise ValueError("support entries must be square-free")
@@ -126,13 +131,7 @@ def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
     if n == 1:
         return P
     if not P.frame_compatible():
-        raise PrecisionObstruction(
-            next(
-                p
-                for p in _frame_primes(P)
-                if n % p == 0
-            )
-        )
+        raise PrecisionObstruction(_frame_prime(P))
     _, frame = orbit_rep(P.tau)
     fmod = frame.mod(n)
     acting = fmod * r * fmod.inv()
@@ -140,11 +139,11 @@ def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
     return LevelPoint(P.tau, a2, n)
 
 
-def _frame_primes(P: LevelPoint):
-    out = set()
-    for x in (P.tau.p.denominator, P.tau.q.denominator, P.tau.q.numerator):
-        out.update(factor(x).primes() if x != 1 else ())
-    return sorted(out)
+def _frame_prime(P: LevelPoint) -> int:
+    """The smallest prime of the level dividing the orbit frame data: only
+    the primes of the level are tried, so the frame is never factored."""
+    frame = (P.tau.p.denominator, P.tau.q.denominator, P.tau.q.numerator)
+    return next(p for p, _ in factor(P.level).factors if any(x % p == 0 for x in frame))
 
 
 def shadow_eq(s1: GaloisShadow, s2: GaloisShadow) -> bool:
@@ -175,7 +174,7 @@ def shadow_eq(s1: GaloisShadow, s2: GaloisShadow) -> bool:
 # -- determinant equalization ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalizationCertificate:
     """Per-orbit rational shape adjusters with their exact norms, certifying
     that the adjusted tuple has the stated common unit determinant."""
@@ -273,21 +272,29 @@ def norm_residue_witness(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
     A mod-p solution always exists (the conic has p - chi(-m) points); the
     coordinate with a unit value is lifted through powers of p.
     """
+    if p < 3 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _norm_residue(m, lam, p, k)
+
+
+def _norm_residue(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
+    """norm_residue_witness for a p already proved an odd prime and k >= 1."""
     pk = p**k
     for y0 in range(p):
         t = (lam - m * y0 * y0) % p
-        r = sqrt_mod(t, p, 1)
-        if r is None:
+        x0 = sqrt_mod_unchecked(t, p, 1)
+        if x0 is None:
             continue
-        x0 = r.value
-        if t % p:  # x-side is a unit: lift x with y frozen
-            xk = sqrt_mod((lam - m * y0 * y0) % pk, p, k)
+        if t:  # x-side is a unit: lift x with y frozen
+            xk = x0 if k == 1 else sqrt_mod_unchecked(lam - m * y0 * y0, p, k)
             if xk is not None:
-                return xk.value, y0
+                return xk, y0
         if y0 and (lam - x0 * x0) % p:  # y-side unit: lift y with x frozen
-            yk = sqrt_mod((lam - x0 * x0) * pow(m, -1, pk) % pk, p, k)
+            yk = sqrt_mod_unchecked((lam - x0 * x0) * pow(m, -1, pk), p, k)
             if yk is not None:
-                return x0, yk.value
+                return x0, yk
     raise ArithmeticError(f"no norm residue for lam={lam} mod {p}^{k}")  # pragma: no cover
 
 
@@ -297,23 +304,25 @@ def surjective_common_det(support, level: int) -> dict:
 
     Requires the good-level condition gcd(level, 2 * prod(support)) = 1;
     otherwise LevelObstruction (unit values of the norm form are constrained
-    at shared primes and a single matrix witness need not exist).
+    at shared primes and a single matrix witness need not exist).  The
+    primes of the level come from factor, so they are odd primes already
+    and the per-lambda loop skips the checks of norm_residue_witness.
     """
     support = tuple(support)
     if not is_good_level(level, support):
         raise LevelObstruction(level, support)
     out = {}
-    units = [x for x in range(1, level) if gcd(x, level) == 1] or [1]
-    pairs = list(factor(level).factors) if level > 1 else []
+    units = units_mod(level) if level > 1 else [1]
+    prime_powers = [(p, e, p**e) for p, e in factor(level).factors] if level > 1 else []
     for lam in units:
         comps = []
         for m in support:
             residues_x = []
             residues_y = []
-            for p, e in pairs:
-                x, y = norm_residue_witness(m, lam % p**e, p, e)
-                residues_x.append((x, p**e))
-                residues_y.append((y, p**e))
+            for p, e, pe in prime_powers:
+                x, y = _norm_residue(m, lam % pe, p, e)
+                residues_x.append((x, pe))
+                residues_y.append((y, pe))
             x = crt(residues_x)[0] if residues_x else 0
             y = crt(residues_y)[0] if residues_y else 0
             comps.append(shape_matrix_mod(x, y, m, 1, level))

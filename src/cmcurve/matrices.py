@@ -116,11 +116,15 @@ class ModMat:
     def __init__(self, a, b, c, d, n):
         if n < 1:
             raise ValueError("modulus must be >= 1")
+        a %= n
+        d %= n
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a % n)
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b % n)
         object.__setattr__(self, "c", c % n)
-        object.__setattr__(self, "d", d % n)
+        # branch +1 shapes have a = d: one int object serves both, which
+        # saves an object per component in a batch of phi(N) shadows
+        object.__setattr__(self, "d", a if a == d else d)
 
     def __setattr__(self, *args):
         raise AttributeError("ModMat is immutable")
@@ -226,10 +230,9 @@ def sl2_lift(m: ModMat) -> Mat2:
     t = (y * (a - a1) + x * (b - b1)) % n
     a2 = a1 + t * c0
     b2 = b1 + t * d1
-    out = Mat2(a2, b2, c0, d1)
-    assert out.det() == 1
-    assert out.mod(n) == m
-    return out
+    if a2 * d1 - b2 * c0 != 1 or (a2 % n, b2 % n, c0 % n, d1 % n) != m.entries:
+        raise ArithmeticError(f"sl2_lift produced no lift of {m}")  # pragma: no cover
+    return Mat2(a2, b2, c0, d1)
 
 
 def _ext_gcd(a: int, b: int):

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 INF = "inf"  # the archimedean place in hilbert_symbol
@@ -21,7 +22,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Residue:
     """An integer value mod a fixed modulus >= 2."""
 
@@ -50,7 +51,7 @@ class Residue:
         return gcd(self.value, self.modulus) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Factorization:
     """Sign and strictly increasing prime powers whose product is the input."""
 
@@ -227,10 +228,17 @@ def sqrt_mod(a, p: int, k: int = 1):
         raise ValueError("p must be an odd prime")
     if k < 1:
         raise ValueError("k must be >= 1")
+    x = sqrt_mod_unchecked(a.value if isinstance(a, Residue) else a, p, k)
+    return None if x is None else Residue(x, p**k)
+
+
+def sqrt_mod_unchecked(a: int, p: int, k: int):
+    """sqrt_mod for a caller that has already proved p an odd prime and
+    k >= 1: the canonical root as an int in [0, p^k), or None."""
     pk = p**k
-    aval = (a.value if isinstance(a, Residue) else a) % pk
+    aval = a % pk
     if aval == 0:
-        return Residue(0, pk)
+        return 0
     j = 0
     u = aval
     while u % p == 0:
@@ -249,7 +257,7 @@ def sqrt_mod(a, p: int, k: int = 1):
     x = min(x, m0 - x)
     if x * x % pk != aval:  # pragma: no cover - definitional guard
         return None
-    return Residue(x, pk)
+    return x
 
 
 # -- Hilbert symbols ---------------------------------------------------------
@@ -326,3 +334,41 @@ def crt(pairs) -> tuple[int, int]:
         x = (x * m * pow(m, -1, n) + r * n * pow(n, -1, m)) % (n * m) if n > 1 else r % m
         n *= m
     return x, n
+
+
+def solve_linear_congruence(alpha: int, beta: int, n: int):
+    """The solutions of alpha*x + beta = 0 (mod n) as a progression (r, m):
+    exactly the x with x = r (mod m), where m divides n and 0 <= r < m.
+    None when there is no solution."""
+    g = gcd(alpha, n)
+    if beta % g:
+        return None
+    m = n // g
+    if m == 1:
+        return 0, 1
+    return -(beta // g) * pow(alpha // g, -1, m) % m, m
+
+
+def intersect_progressions(p1, p2):
+    """The x with x = r1 (mod m1) and x = r2 (mod m2), moduli not necessarily
+    coprime: (r, lcm(m1, m2)) with 0 <= r < lcm, or None when disjoint.
+    Either argument may be None (an empty progression)."""
+    if p1 is None or p2 is None:
+        return None
+    (r1, m1), (r2, m2) = p1, p2
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    step = m2 // g
+    lcm = m1 * step
+    t = (r2 - r1) // g * pow(m1 // g, -1, step) % step if step > 1 else 0
+    return (r1 + m1 * t) % lcm, lcm
+
+
+def units_mod(n: int, limit: int | None = None) -> list:
+    """The units of Z/n as residues in [0, n), increasing ([0] for n = 1);
+    only the first `limit` of them when a limit is given."""
+    if n == 1:
+        return [0]
+    units = (x for x in range(1, n) if gcd(x, n) == 1)
+    return list(units if limit is None else islice(units, limit))

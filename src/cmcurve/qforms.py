@@ -28,7 +28,7 @@ from .numth import (
 MAX_DISC = 10**8  # desk-scale bound enforced at construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadForm:
     A: int
     B: int
@@ -118,7 +118,8 @@ def reduce_form(f: QuadForm) -> tuple[QuadForm, Mat2]:
             g = g.transform(FLIP.inv())
             gamma = FLIP * gamma
         break
-    assert g.is_reduced()
+    if not g.is_reduced():
+        raise ArithmeticError(f"reduction of {f} ended at {g}")  # pragma: no cover
     return g, gamma
 
 
@@ -148,7 +149,8 @@ def _automorphs_cached(f: QuadForm) -> tuple:
             if g.entries in seen:
                 continue
             seen.add(g.entries)
-            assert g.is_unimodular()
+            if not g.is_unimodular():
+                raise ArithmeticError(f"automorph {g} of {f} is not in SL2(Z)")  # pragma: no cover
             out.append(g)
     return tuple(out)
 

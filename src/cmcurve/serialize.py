@@ -29,6 +29,8 @@ def frac_to_json(x) -> list:
 
 def frac_from_json(v) -> Fraction:
     num, den = v
+    if den == 0:
+        raise ValueError("fraction has a zero denominator")
     return Fraction(num, den)
 
 

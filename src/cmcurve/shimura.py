@@ -18,6 +18,7 @@ from math import gcd
 
 from .adele import (
     AdelicMatrix,
+    _noninvertible_primes,
     LevelMatrix,
     ShapeKind,
     UnitPart,
@@ -30,7 +31,7 @@ from .matrices import MIRROR, Mat2, ModMat
 from .numth import is_squarefree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadPoint:
     """tau = p + q*sqrt(-m) in the upper half-plane: q > 0, m square-free."""
 
@@ -70,7 +71,7 @@ def _mobius(g: Mat2, p: Fraction, q: Fraction, m: int):
     return p2, q2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentIndex:
     """Label of an irreducible component at level N: a unit mod N."""
 
@@ -84,7 +85,7 @@ class ComponentIndex:
             raise ValueError("component index must be a unit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelPoint:
     """The class [tau, a] at level N.
 
@@ -101,11 +102,8 @@ class LevelPoint:
     def __post_init__(self):
         if self.level != self.a.level:
             raise ValueError("coordinate level mismatch")
-        n = self.level
-        bad = self.a.rational_primes()
-        for p in sorted(bad):
-            if n % p == 0:
-                raise PrecisionObstruction(p)
+        for p in sorted(_noninvertible_primes(self.a.r, self.level)):
+            raise PrecisionObstruction(p)
 
     def frame_compatible(self) -> bool:
         """Whether the orbit frame (q, p; 0, 1) is invertible mod the level;
@@ -183,7 +181,7 @@ def to_base_frame(point: LevelPoint) -> LevelPoint:
 # -- equality -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointEqWitness:
     """Soundness certificate: q in GL2(Q) with positive determinant moving one
     representative to the other, and the integral matrix whose congruence to
@@ -267,6 +265,8 @@ def act_unit(g: LevelMatrix, P: LevelPoint) -> LevelPoint:
     """[tau, a] -> [tau, a g^{-1}]: the level-matrix action on the unit side."""
     if g.n != P.level:
         raise ValueError("level mismatch")
+    if not g.is_unit():
+        raise ValueError("level matrix must have unit determinant")
     a2 = unit_rightmul(P.a, g.inv())
     return LevelPoint(P.tau, a2, P.level)
 

@@ -85,7 +85,7 @@ def kernel_basis(rows, n):
     return tuple(tuple(c[m:]) for c in cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignModule:
     """Z^n with each generator acting by coordinatewise signs."""
 
@@ -106,7 +106,7 @@ class SignModule:
         return [tuple(eps[i] for eps in self.generators) for i in range(self.rank)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sublattice:
     """A sublattice of Z^n with a canonical (HNF) basis of columns."""
 
@@ -244,7 +244,7 @@ def minimal_subtorus_check(
 # -- Goursat ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteAbelianGroup:
     """Direct product of cyclic groups given by the tuple of moduli."""
 
@@ -271,7 +271,7 @@ class FiniteAbelianGroup:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoursatData:
     """K1 = ker(M -> A) inside B, K2 = ker(M -> B) inside A, and the graph
     of the induced isomorphism A/K2 -> B/K1 as a coset table."""

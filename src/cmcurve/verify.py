@@ -33,7 +33,7 @@ class CheckFailure(Exception):
         super().__init__(str(detail))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteConfig:
     level: int = 5
     support: tuple = (1, 2)

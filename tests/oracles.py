@@ -245,3 +245,79 @@ def all_shadows(support, n):
             for combo in combos:
                 out.append(GaloisShadow(tuple(support), tuple(combo), branch, lam, n))
     return out
+
+
+def pair_witnesses_scan(s, t):
+    """The four-point witness sets by scanning every unit twist nu mod N:
+    each integral witness M of the underlying point equality is composed
+    with diag(nu, 1) for all phi(N) units, and every shape-matching product
+    is kept (branch +1 tried first).  Same keys and values as
+    approx.pair_witnesses."""
+    from cmcurve.adele import ShapeKind, shape_test
+    from cmcurve.approx import _canonical_base
+    from cmcurve.galois import identity_shadow
+    from cmcurve.matrices import diag_mod
+    from cmcurve.shimura import point_eq, rigid_witnesses
+
+    if s.level != t.level:
+        raise ValueError("level mismatch")
+    if s.orbit != t.orbit:
+        return {}
+    n = s.level
+    m = s.orbit
+    A = _canonical_base(s)
+    B = _canonical_base(t)
+    out: dict = {}
+    if n == 1:
+        if point_eq(A, B):
+            out[(0, 1)] = {identity_shadow((m,), 1).components[0]}
+        return {k: frozenset(v) for k, v in out.items()}
+    ra = A.a.rational_mod(n)
+    ra_inv = ra.inv()
+    ua, ub = A.unit_matrix(), B.unit_matrix()
+    ua_inv = ua.inv()
+    for M in rigid_witnesses(A, B):
+        m_inv_mod = M.inv().mod(n)
+        left = ra * m_inv_mod * ub
+        right = ua_inv * ra_inv
+        for nu in [x for x in range(1, n) if gcd(x, n) == 1]:
+            r = left * diag_mod(nu, n) * right
+            for branch in (1, -1):
+                ok, _ = shape_test(r, ShapeKind(m, branch))
+                if ok:
+                    out.setdefault((r.det(), branch), set()).add(r)
+                    break
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def pair_witnesses_brute(s, t):
+    """The four-point witness sets from first principles: every normalizer
+    shape r mod N (branch +1 first, as all_shapes lists them) such that
+    [sqrt(-m), r * a] equals some unit twist of t under point_eq, where
+    [sqrt(-m), a] is the canonical base presentation of s.  Exhaustive over
+    all N^2 shapes per branch and all twists, so only for small N."""
+    from cmcurve.adele import unit_leftmul
+    from cmcurve.approx import _canonical_base
+    from cmcurve.matrices import diag_mod
+    from cmcurve.shimura import LevelPoint, act_unit, point_eq
+
+    if s.orbit != t.orbit:
+        return {}
+    n = s.level
+    A = _canonical_base(s)
+    twists = [act_unit(diag_mod(nu, n), t.point) for nu in range(1, n) if gcd(nu, n) == 1]
+    out: dict = {}
+    seen = set()
+    for r, branch in all_shapes(s.orbit, n):
+        if r in seen:
+            continue
+        seen.add(r)
+        moved = LevelPoint(A.tau, unit_leftmul(A.a, r), n)
+        if any(point_eq(moved, T) for T in twists):
+            out.setdefault((r.det(), branch), set()).add(r)
+    return {k: frozenset(v) for k, v in out.items()}
+
+
+def linear_congruence_exhaustive(alpha: int, beta: int, n: int) -> list[int]:
+    """Every x in [0, n) with alpha*x + beta = 0 (mod n)."""
+    return [x for x in range(n) if (alpha * x + beta) % n == 0]

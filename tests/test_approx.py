@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmcurve.adele import AdelicMatrix, UnitPart
+from cmcurve.adele import AdelicMatrix, UnitPart, shape_matrix_mod
 from cmcurve.approx import (
     ApproxPoint,
     approx_eq,
@@ -12,6 +12,7 @@ from cmcurve.approx import (
     eval_curve,
     faithfulness_check,
     lift_automorphism,
+    pair_witnesses,
     relation_R,
     relation_witness,
     shadow_act_approx,
@@ -20,6 +21,7 @@ from cmcurve.approx import (
 )
 from cmcurve.errors import RViolation
 from cmcurve.galois import (
+    GaloisShadow,
     identity_shadow,
     mirror_shadow,
     shadow_eq,
@@ -30,11 +32,12 @@ from cmcurve.shimura import (
     ComponentIndex,
     LevelPoint,
     QuadPoint,
+    act_rational,
     act_unit,
     component,
     point_eq,
 )
-from oracles import all_shadows
+from oracles import all_shadows, pair_witnesses_brute, pair_witnesses_scan
 
 
 def ap(m, p, q, n, rational=None, unit=None):
@@ -314,3 +317,83 @@ class TestLift:
             table = [(P, shadow_act_approx(sigma, P)) for P in sample]
             lifted = lift_automorphism(table)
             assert lifted.det == lam
+
+
+def random_unit(rng, n):
+    while True:
+        g = ModMat(*(rng.randrange(n) for _ in range(4)), n)
+        if g.is_unit():
+            return g
+
+
+def random_shape_shadow(rng, m, n):
+    """A one-orbit shadow with a random shape component of a random branch."""
+    while True:
+        branch = rng.choice((1, -1))
+        g = shape_matrix_mod(rng.randrange(n), rng.randrange(n), m, branch, n)
+        if g.is_unit():
+            return GaloisShadow((m,), (g,), branch, g.det(), n)
+
+
+def witness_pairs(rng, n, count):
+    """Same-orbit pairs at level n: random unit parts over SL2(Z)-moved
+    taus and a rational part (so the integral witnesses are nontrivial),
+    half of them related by a random shadow."""
+    moves = [Mat2(1, 0, 0, 1), Mat2(1, 1, 0, 1), Mat2(0, -1, 1, 0), Mat2(2, 1, 1, 1)]
+    rationals = [Mat2(1, 0, 0, 1), Mat2(1, Fraction(1, 2), 0, 1), Mat2(1, 0, 1, 1)]
+    pairs = []
+    while len(pairs) < count:
+        m = rng.choice((1, 2, 3, 5))
+        r = rng.choice(rationals)
+        if n % 2 == 0 and r.b.denominator == 2:
+            continue
+        s = ap(m, 0, 1, n, rational=r, unit=random_unit(rng, n))
+        s = ApproxPoint(act_rational(rng.choice(moves), s.point))
+        if not s.point.frame_compatible():
+            continue
+        if len(pairs) % 2:
+            t = shadow_act_approx(random_shape_shadow(rng, m, n), s)
+        else:
+            t = ap(m, 0, 1, n, unit=random_unit(rng, n))
+        pairs.append((s, t))
+    return pairs
+
+
+class TestPairWitnessSolve:
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 25, 35, 49, 101, 1001, 1009]
+    )
+    def test_matches_twist_scan(self, n):
+        rng = random.Random(700 + n)
+        nonempty = 0
+        for s, t in witness_pairs(rng, n, 6 if n > 100 else 12):
+            got = pair_witnesses(s, t)
+            assert got == pair_witnesses_scan(s, t)
+            nonempty += bool(got)
+        assert nonempty >= 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+    def test_matches_brute_force(self, n):
+        rng = random.Random(800 + n)
+        for s, t in witness_pairs(rng, n, 4):
+            assert pair_witnesses(s, t) == pair_witnesses_brute(s, t)
+
+    def test_both_branches_at_even_level(self):
+        # mod 2 the shapes of both branches coincide; the first branch wins
+        s = ap(1, 0, 1, 2)
+        w = pair_witnesses(s, s)
+        assert set(w) == {(1, 1)} and w == pair_witnesses_scan(s, s)
+        assert pair_witnesses(s, s) == pair_witnesses_brute(s, s)
+
+    def test_witness_choice_unchanged(self):
+        rng = random.Random(901)
+        for n in (101, 1009):
+            sigma = random_shape_shadow(rng, 2, n)
+            s1 = ap(2, 0, 1, n, unit=random_unit(rng, n))
+            s2 = ap(2, 1, 1, n, unit=random_unit(rng, n))
+            t1, t2 = shadow_act_approx(sigma, s1), shadow_act_approx(sigma, s2)
+            w = relation_witness(s1, s2, t1, t2)
+            assert w is not None and w.lam == sigma.det and w.branch == sigma.branch
+            common = pair_witnesses_scan(s1, t1)[(w.lam, w.branch)]
+            common &= pair_witnesses_scan(s2, t2)[(w.lam, w.branch)]
+            assert w.r1 == w.r2 == min(common, key=lambda g: g.entries)

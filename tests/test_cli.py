@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 from cmcurve import cli
 from cmcurve.adele import AdelicMatrix, UnitPart
@@ -126,6 +127,62 @@ class TestSubcommands:
         assert proc.returncode == 0
         assert out["point"]["level"] == 5
         assert out["component"] == pow(2, -1, 5)
+
+
+class TestTotalCli:
+    """Inputs that once crashed or hung the CLI: each must end with its
+    documented exit code and no traceback."""
+
+    def test_zero_denominator_exit_two(self):
+        bad = pt(1, [0, 0], [1, 1], 5)
+        for cmd, payload in (
+            ("fixed", {"point": bad, "g": [1, 0, 0, 1]}),
+            ("act", {"point": bad}),
+            ("point-eq", {"p1": pt(1, [0, 1], [1, 1], 5), "p2": bad}),
+        ):
+            proc = run_cli([cmd], payload)
+            assert proc.returncode == 2, (cmd, proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+    def test_zero_unit_exit_two(self):
+        proc = run_cli(["act"], {"point": pt(1, [0, 1], [1, 1], 5), "unit": [0, 0, 0, 0]})
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # a 120-bit semiprime: answering about it needs only gcds against the
+    # level, never its factorization (which ran for minutes)
+    SEMIPRIME = 576460752303423619 * 1152921504606847009
+
+    def run_timed(self, argv, payload):
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmcurve.cli", *argv],
+            input=json.dumps(payload),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert elapsed < 10, elapsed  # interpreter startup included
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_semiprime_denominator_is_fast(self):
+        a = {"r": [[1, 1], [1, self.SEMIPRIME], [0, 1], [1, 1]], "delta": 1, "s": [1, 0, 0, 1], "level": 5}
+        payload = {"g": [0, -1, 1, 0], "point": pt(1, [0, 1], [1, 1], 5, a)}
+        proc = self.run_timed(["fixed"], payload)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["fixed"] in (True, False)
+
+    def test_semiprime_frame_obstruction_is_fast(self):
+        # the frame (q, p; 0, 1) meets the level at 5 through 5 * semiprime
+        payload = {
+            "point": pt(1, [0, 1], [5 * self.SEMIPRIME, 1], 5),
+            "shadow": {"support": [1], "components": [[1, 0, 0, 1]], "branch": 1, "det": 1, "level": 5},
+        }
+        proc = self.run_timed(["act"], payload)
+        assert proc.returncode == 3, proc.stderr
+        assert "prime 5" in proc.stderr
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,6 +16,7 @@ from cmcurve.galois import (
     identity_shadow,
     is_good_level,
     mirror_shadow,
+    norm_residue_witness,
     shadow_act,
     shadow_eq,
     shadow_inv,
@@ -231,6 +234,16 @@ class TestSurjectivity:
                 units = [x for x in range(1, n) if gcd(x, n) == 1]
                 assert sorted(shadows) == units
 
+    def test_answer_shares_int_objects(self):
+        # the answer has phi(N) shadows: each det is its key's object, and
+        # each branch +1 component stores one object for a = d
+        shadows = surjective_common_det((1, 2), 1009)
+        for lam, sigma in shadows.items():
+            assert sigma.det is lam
+            for comp in sigma.components:
+                assert comp.a is comp.d
+        assert GaloisShadow((1,), (ModMat(1, 0, 0, 1, 7),), 1, 8, 7).det == 1
+
     def test_level_obstruction(self):
         with pytest.raises(LevelObstruction):
             surjective_common_det((5,), 10)
@@ -322,3 +335,63 @@ class TestSurjectivityCompositeLevels:
                     assert ok
                     x, y = wit
                     assert (x * x + m * y * y) % n == lam
+
+
+class TestCommonDetUnchanged:
+    # SHA-256 prefixes of the full surjective_common_det output, computed
+    # with the per-lambda implementation that called the checked sqrt_mod
+    # for every residue; the shadows themselves must not change.
+    EXPECTED = {
+        ((1,), 3): "8c397de231624add",
+        ((1,), 25): "d5c881125b1ed20a",
+        ((1,), 27): "75ba17eb8fda5641",
+        ((1,), 343): "7daf3926aa3f9cff",
+        ((1,), 15): "bbf23f7c260a2e20",
+        ((1,), 105): "8cafaf3c06b4d643",
+        ((1,), 1001): "8302c4ad7c706c30",
+        ((1, 2), 9): "f81ab8505db6a8dd",
+        ((1, 2), 125): "5fe8ac2638acb35c",
+        ((1, 2), 121): "6a97878a9e26f6fe",
+        ((1, 2), 15): "617d639ce08543e7",
+        ((1, 2), 45): "51bbf5f617bdf9a9",
+        ((1, 2), 1001): "ea19de42b80ce54f",
+        ((2, 7), 9): "7dc1828a8e3b4b41",
+        ((2, 7), 25): "94f0ec2e137490f2",
+        ((2, 7), 121): "b0c4a19085829493",
+        ((2, 7), 15): "9937d75751032176",
+        ((2, 7), 33): "6d8713075deafd7e",
+        ((2, 7), 165): "fef2f6ebca610a88",
+    }
+
+    @pytest.mark.parametrize("support,level", sorted(EXPECTED))
+    def test_digest(self, support, level):
+        out = surjective_common_det(support, level)
+        assert sorted(out) == [x for x in range(1, level) if gcd(x, level) == 1]
+        blob = json.dumps(
+            [
+                [lam, sh.det, sh.branch, [list(c.entries) for c in sh.components]]
+                for lam, sh in out.items()
+            ]
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == self.EXPECTED[(support, level)]
+
+    def test_level_one(self):
+        out = surjective_common_det((1, 2), 1)
+        assert list(out) == [1] and out[1].det == 0
+
+    def test_residue_witness_matches_definition(self):
+        for p, k in ((3, 1), (3, 3), (5, 2), (7, 1), (11, 2)):
+            pk = p**k
+            for m in (1, 2, 7):
+                if m % p == 0:
+                    continue
+                for lam in range(1, pk):
+                    if lam % p == 0:
+                        continue
+                    x, y = norm_residue_witness(m, lam, p, k)
+                    assert (x * x + m * y * y - lam) % pk == 0
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (4, 1), (9, 1), (15, 2), (21, 1), (5, 0)])
+    def test_residue_witness_rejects_bad_prime_power(self, p, k):
+        with pytest.raises(ValueError):
+            norm_residue_witness(1, 1, p, k)

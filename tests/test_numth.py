@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,12 +11,21 @@ from cmcurve.numth import (
     factor,
     hilbert_places,
     hilbert_symbol,
+    intersect_progressions,
     is_prime,
     jacobi,
+    solve_linear_congruence,
     sqrt_mod,
     squarefree_part,
+    units_mod,
 )
-from oracles import hilbert_via_search, legendre_exhaustive, sqrt_mod_exhaustive, trial_division
+from oracles import (
+    hilbert_via_search,
+    legendre_exhaustive,
+    linear_congruence_exhaustive,
+    sqrt_mod_exhaustive,
+    trial_division,
+)
 
 
 class TestFactor:
@@ -117,6 +127,66 @@ class TestSqrtMod:
     def test_hensel_large_power(self):
         r = sqrt_mod(2, 7, 6)
         assert r is not None and r.value**2 % 7**6 == 2
+
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 9, 15, 91, 3 * 5 * 7 * 11])
+    def test_rejects_even_or_composite_modulus(self, p):
+        with pytest.raises(ValueError):
+            sqrt_mod(1, p, 1)
+        with pytest.raises(ValueError):
+            sqrt_mod(4, p, 3)
+
+
+class TestLinearCongruence:
+    def test_solver_exhaustive(self):
+        for n in range(1, 31):
+            for alpha in range(n):
+                for beta in range(n):
+                    expected = linear_congruence_exhaustive(alpha, beta, n)
+                    got = solve_linear_congruence(alpha, beta, n)
+                    if got is None:
+                        assert expected == [], (alpha, beta, n)
+                        continue
+                    r, m = got
+                    assert n % m == 0 and 0 <= r < m
+                    assert list(range(r, n, m)) == expected, (alpha, beta, n)
+
+    def test_solver_unreduced_arguments(self):
+        rng = random.Random(151)
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            alpha, beta = rng.randint(-500, 500), rng.randint(-500, 500)
+            assert solve_linear_congruence(alpha, beta, n) == solve_linear_congruence(
+                alpha % n, beta % n, n
+            )
+
+    def test_intersection_exhaustive(self):
+        for m1 in range(1, 19):
+            for m2 in range(1, 19):
+                lcm = m1 * m2 // gcd(m1, m2)
+                for r1 in range(m1):
+                    for r2 in range(m2):
+                        expected = [x for x in range(lcm) if x % m1 == r1 and x % m2 == r2]
+                        got = intersect_progressions((r1, m1), (r2, m2))
+                        if got is None:
+                            assert expected == []
+                        else:
+                            assert got[1] == lcm and expected == [got[0]]
+
+    def test_intersection_with_empty(self):
+        assert intersect_progressions(None, (0, 1)) is None
+        assert intersect_progressions((0, 1), None) is None
+
+
+class TestUnitsMod:
+    def test_against_gcd_filter(self):
+        for n in range(2, 60):
+            expected = [x for x in range(n) if gcd(x, n) == 1]
+            assert units_mod(n) == expected
+            assert units_mod(n, limit=3) == expected[:3]
+
+    def test_level_one(self):
+        assert units_mod(1) == [0]
 
 
 class TestHilbert:
