@@ -78,7 +78,7 @@ class AdelicMatrix:
     def __post_init__(self):
         if self.level != self.u.level:
             raise ValueError("unit part level mismatch")
-        if self.r.det() == 0:
+        if self.r.det_numerator() == 0:
             raise ValueError("rational part must be invertible")
 
     # -- constructions -------------------------------------------------------
@@ -100,15 +100,12 @@ class AdelicMatrix:
     def rational_primes(self) -> set:
         """Primes where the rational part fails to be an integral unit.
 
-        Factors every entry, so its cost grows with the size of the
-        rational data; checks against a level use _noninvertible_primes,
+        Factors the common denominator (the lcm of the entry denominators)
+        and the determinant numerator, so its cost grows with the size of
+        the rational data; checks against a level use _noninvertible_primes,
         which tests only the primes of the level."""
-        primes: set = set()
-        det = self.r.det()
-        for x in self.r.entries:
-            primes.update(factor(x.denominator).primes())
-        primes.update(factor(det.numerator).primes())
-        primes.update(factor(det.denominator).primes())
+        primes = set(factor(self.r.den).primes())
+        primes.update(factor(self.r.det_numerator()).primes())
         return primes
 
     def unit_mod(self, n: int) -> ModMat:
@@ -185,15 +182,10 @@ def _noninvertible_primes(r: Mat2, n: int) -> set:
     AdelicMatrix(r, ...).rational_primes(), found without factoring r."""
     if n == 1:
         return set()
-    out = set()
-    det = r.det()
-    for p, _ in factor(n).factors:
-        bad = any(x.denominator % p == 0 for x in r.entries)
-        if not bad:
-            bad = det.numerator % p == 0 or det.denominator % p == 0
-        if bad:
-            out.add(p)
-    return out
+    # a prime divides some entry denominator iff it divides den, and away
+    # from den it divides det() iff it divides det_numerator()
+    den, det = r.den, r.det_numerator()
+    return {p for p, _ in factor(n).factors if den % p == 0 or det % p == 0}
 
 
 def unit_rightmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
@@ -260,15 +252,15 @@ def shape_test(mat, kind: ShapeKind):
             ok = (d + a) % n == 0 and (b - m * c) % n == 0
             witness = (a, c)
         return (ok and mat.is_unit(), witness if ok else None)
-    a, b, c, d = mat.entries
+    # the conditions are homogeneous, so the integer numerators decide them
+    a, b, c, d = mat.an, mat.bn, mat.cn, mat.dn
     if kind.branch == 1:
         ok = d == a and b == -m * c
-        witness = (a, -c)
     else:
         ok = d == -a and b == m * c
-        witness = (a, c)
-    ok = ok and mat.det() != 0
-    return (ok, witness if ok else None)
+    if not (ok and a * d != b * c):
+        return (False, None)
+    return (True, (mat.a, -mat.c if kind.branch == 1 else mat.c))
 
 
 def shape_matrix(x, y, m: int, branch: int = 1) -> Mat2:

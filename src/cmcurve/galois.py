@@ -26,9 +26,17 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .matrices import Mat2, ModMat, identity_mod
-from .numth import crt, factor, is_prime, is_squarefree, sqrt_mod_unchecked, units_mod
+from .numth import (
+    crt,
+    factor,
+    is_prime,
+    is_squarefree,
+    smallest_shared_prime,
+    sqrt_mod_unchecked,
+    units_mod,
+)
 from .qforms import norm_obstruction, solve_form_rational
-from .shimura import LevelPoint, orbit_rep
+from .shimura import LevelPoint, _frame_prime, orbit_rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,13 +147,6 @@ def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
     return LevelPoint(P.tau, a2, n)
 
 
-def _frame_prime(P: LevelPoint) -> int:
-    """The smallest prime of the level dividing the orbit frame data: only
-    the primes of the level are tried, so the frame is never factored."""
-    frame = (P.tau.p.denominator, P.tau.q.denominator, P.tau.q.numerator)
-    return next(p for p, _ in factor(P.level).factors if any(x % p == 0 for x in frame))
-
-
 def shadow_eq(s1: GaloisShadow, s2: GaloisShadow) -> bool:
     """Equality of induced actions.
 
@@ -228,9 +229,7 @@ def equalize_dets(entries, hints) -> tuple[GaloisShadow, NormalizationCertificat
         branches.append(branch)
         if n > 1:
             if gcd(hint.numerator, n) != 1 or gcd(hint.denominator, n) != 1:
-                raise PrecisionObstruction(
-                    next(p for p in factor(hint.numerator * hint.denominator).primes() if n % p == 0)
-                )
+                raise PrecisionObstruction(smallest_shared_prime(hint.numerator * hint.denominator, n))
             lams.append(mat.det() * pow(hint.numerator, -1, n) * hint.denominator % n)
         else:
             lams.append(0)

@@ -1,4 +1,5 @@
-"""Exact 2x2 matrices: rational (Fraction entries) and modular (ints mod N).
+"""Exact 2x2 matrices: rational (integer numerators over a common
+denominator) and modular (ints mod N).
 
 Everything is immutable and hashable.  Mat2 is the workhorse for GL2(Q) and
 SL2(Z) data; ModMat carries reductions mod a level N >= 1 (N = 1 is the
@@ -8,21 +9,40 @@ trivial level where every entry is 0).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PrecisionObstruction
+from .numth import ext_gcd, smallest_shared_prime
 
 
 class Mat2:
-    """Immutable 2x2 matrix with exact rational entries."""
+    """Immutable 2x2 matrix with exact rational entries.
 
-    __slots__ = ("a", "b", "c", "d")
+    Stored as four integer numerators an, bn, cn, dn over one positive
+    common denominator den, in lowest terms (the gcd of all five is 1), so
+    products, inverses and reductions mod N are integer work, and integral
+    matrices (den == 1) never take a gcd.  The entry views a, b, c, d,
+    entries and det() are Fractions, as is every entry the constructor
+    accepts.
+    """
+
+    __slots__ = ("an", "bn", "cn", "dn", "den")
 
     def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        if type(a) is type(b) is type(c) is type(d) is int:
+            _fill(self, a, b, c, d, 1)
+            return
+        a, b, c, d = (x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d))
+        da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+        den = lcm(da, db, dc, dd)
+        _fill(
+            self,
+            a.numerator * (den // da),
+            b.numerator * (den // db),
+            c.numerator * (den // dc),
+            d.numerator * (den // dd),
+            den,
+        )
 
     def __setattr__(self, *args):
         raise AttributeError("Mat2 is immutable")
@@ -30,82 +50,134 @@ class Mat2:
     # -- structure ---------------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        return _entry(self.an, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return _entry(self.bn, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return _entry(self.cn, self.den)
+
+    @property
+    def d(self) -> Fraction:
+        return _entry(self.dn, self.den)
+
+    @property
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        den = self.den
+        return (_entry(self.an, den), _entry(self.bn, den), _entry(self.cn, den), _entry(self.dn, den))
 
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        return _entry(self.det_numerator(), self.den * self.den)
+
+    def det_numerator(self) -> int:
+        """ad - bc of the numerators: det() times den^2, so it has the sign
+        of det() and, away from the primes of den, its primes."""
+        return self.an * self.dn - self.bn * self.cn
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries)
+        return self.den == 1
 
     def is_unimodular(self) -> bool:
         """Integer entries and determinant exactly +1."""
-        return self.is_integral() and self.det() == 1
+        return self.den == 1 and self.det_numerator() == 1
 
     def is_gl2z(self) -> bool:
-        return self.is_integral() and self.det() in (1, -1)
+        return self.den == 1 and self.det_numerator() in (1, -1)
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.an, self.bn, self.cn, self.dn
+        p, q, r, s = other.an, other.bn, other.cn, other.dn
+        return _reduced(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, self.den * other.den)
 
     def inv(self) -> "Mat2":
-        det = self.det()
+        # (N / e)^-1 = e * adj(N) / det(N)
+        a, b, c, d, e = self.an, self.bn, self.cn, self.dn, self.den
+        det = self.det_numerator()
         if det == 0:
             raise ZeroDivisionError("singular matrix")
-        return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        if det < 0:
+            det, e = -det, -e
+        return _reduced(e * d, -e * b, -e * c, e * a, det)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _new(-self.an, -self.bn, -self.cn, -self.dn, self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat2) and self.entries == other.entries
+        return (
+            isinstance(other, Mat2)
+            and self.an == other.an
+            and self.bn == other.bn
+            and self.cn == other.cn
+            and self.dn == other.dn
+            and self.den == other.den
+        )
 
     def __hash__(self):
-        return hash(("Mat2",) + self.entries)
+        return hash((self.an, self.bn, self.cn, self.dn, self.den))
 
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
 
     # -- reductions --------------------------------------------------------
 
-    def denominator_primes(self):
-        """Primes dividing any entry denominator (computed by the caller's
-        factoring routine on the lcm; here just the lcm itself)."""
-        den = 1
-        for x in self.entries:
-            den = den * x.denominator // gcd(den, x.denominator)
-        return den
-
     def mod(self, n: int) -> "ModMat":
-        """Reduce mod n; requires entry denominators coprime to n."""
+        """Reduce mod n; requires entry denominators coprime to n.  The
+        obstruction names the smallest prime of n dividing the denominator
+        of the first entry that meets n."""
         if n == 1:
             return ModMat(0, 0, 0, 0, 1)
-        vals = []
-        for x in self.entries:
-            if gcd(x.denominator, n) != 1:
-                p = _common_prime(x.denominator, n)
-                raise PrecisionObstruction(p)
-            vals.append(x.numerator * pow(x.denominator, -1, n) % n)
-        return ModMat(*vals, n)
+        den = self.den
+        if den == 1:
+            return ModMat(self.an, self.bn, self.cn, self.dn, n)
+        if gcd(den, n) != 1:
+            for x in (self.an, self.bn, self.cn, self.dn):
+                x_den = den // gcd(x, den)
+                if gcd(x_den, n) != 1:
+                    raise PrecisionObstruction(smallest_shared_prime(x_den, n))
+        di = pow(den, -1, n)
+        return ModMat(self.an * di, self.bn * di, self.cn * di, self.dn * di, n)
 
 
-def _common_prime(a: int, n: int) -> int:
-    """Smallest prime dividing gcd(a, n) (a, n with nontrivial gcd)."""
-    g = gcd(a, n)
-    p = 2
-    while p * p <= g:
-        if g % p == 0:
-            return p
-        p += 1
-    return g
+_new_obj = object.__new__
+_set_an, _set_bn, _set_cn, _set_dn, _set_den = (
+    getattr(Mat2, slot).__set__ for slot in Mat2.__slots__
+)
+
+
+def _fill(m: Mat2, an: int, bn: int, cn: int, dn: int, den: int) -> None:
+    _set_an(m, an)
+    _set_bn(m, bn)
+    _set_cn(m, cn)
+    _set_dn(m, dn)
+    _set_den(m, den)
+
+
+def _new(an: int, bn: int, cn: int, dn: int, den: int) -> Mat2:
+    """A Mat2 from numerators and a positive denominator already in lowest
+    terms."""
+    m = _new_obj(Mat2)
+    _fill(m, an, bn, cn, dn, den)
+    return m
+
+
+def _reduced(an: int, bn: int, cn: int, dn: int, den: int) -> Mat2:
+    """A Mat2 from numerators over a positive denominator, put in lowest
+    terms (no gcd when den == 1)."""
+    if den != 1:
+        g = gcd(an, bn, cn, dn, den)
+        if g != 1:
+            an, bn, cn, dn, den = an // g, bn // g, cn // g, dn // g, den // g
+    return _new(an, bn, cn, dn, den)
+
+
+def _entry(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 class ModMat:
@@ -224,7 +296,7 @@ def sl2_lift(m: ModMat) -> Mat2:
         k += 1
     d1 = d0 + k * n
     # a1*d1 - b1*c0 = 1 by extended gcd
-    g, x, y = _ext_gcd(d1, c0)
+    g, x, y = ext_gcd(d1, c0)
     a1, b1 = x, -y
     # correct the top row to the target residues: (a,b) = (a1,b1) + t*(c0,d1)
     t = (y * (a - a1) + x * (b - b1)) % n
@@ -232,17 +304,5 @@ def sl2_lift(m: ModMat) -> Mat2:
     b2 = b1 + t * d1
     if a2 * d1 - b2 * c0 != 1 or (a2 % n, b2 % n, c0 % n, d1 % n) != m.entries:
         raise ArithmeticError(f"sl2_lift produced no lift of {m}")  # pragma: no cover
-    return Mat2(a2, b2, c0, d1)
+    return _new(a2, b2, c0, d1, 1)
 
-
-def _ext_gcd(a: int, b: int):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y

@@ -336,6 +336,28 @@ def crt(pairs) -> tuple[int, int]:
     return x, n
 
 
+def ext_gcd(a: int, b: int):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
+
+
+def smallest_shared_prime(x: int, n: int) -> int:
+    """The smallest prime of n dividing x (x and n not coprime).  Only the
+    primes of n are tried, so x is never factored."""
+    for p, _ in factor(n).factors:
+        if x % p == 0:
+            return p
+    raise ValueError(f"{x} and {n} are coprime")
+
+
 def solve_linear_congruence(alpha: int, beta: int, n: int):
     """The solutions of alpha*x + beta = 0 (mod n) as a progression (r, m):
     exactly the x with x = r (mod m), where m divides n and 0 <= r < m.

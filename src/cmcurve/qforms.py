@@ -56,9 +56,9 @@ class QuadForm:
 
     def transform(self, gamma: Mat2) -> "QuadForm":
         """The form f o gamma: substitute (x, y) -> gamma * (x, y)."""
-        if not gamma.is_integral():
+        if gamma.den != 1:
             raise ValueError("transform requires an integral matrix")
-        a, b, c, d = (int(x) for x in gamma.entries)
+        a, b, c, d = gamma.an, gamma.bn, gamma.cn, gamma.dn
         A2 = self.evaluate(a, c)
         C2 = self.evaluate(b, d)
         B2 = 2 * self.A * a * b + self.B * (a * d + b * c) + 2 * self.C * c * d
@@ -146,9 +146,9 @@ def _automorphs_cached(f: QuadForm) -> tuple:
             continue
         for tt in sorted({t, -t}, reverse=True):
             g = Mat2((tt - f.B * u) // 2, -f.C * u, f.A * u, (tt + f.B * u) // 2)
-            if g.entries in seen:
+            if g in seen:
                 continue
-            seen.add(g.entries)
+            seen.add(g)
             if not g.is_unimodular():
                 raise ArithmeticError(f"automorph {g} of {f} is not in SL2(Z)")  # pragma: no cover
             out.append(g)

@@ -45,7 +45,7 @@ def mat2_from_json(v) -> Mat2:
 def intmat_to_json(m: Mat2) -> list:
     if not m.is_integral():
         raise ValueError("matrix is not integral")
-    return [int(x) for x in m.entries]
+    return [m.an, m.bn, m.cn, m.dn]
 
 
 def modmat_to_json(m: ModMat) -> list:

@@ -27,8 +27,8 @@ from .adele import (
     unit_rightmul,
 )
 from .errors import PrecisionObstruction
-from .matrices import MIRROR, Mat2, ModMat
-from .numth import is_squarefree
+from .matrices import IDENTITY, MIRROR, Mat2, ModMat
+from .numth import is_squarefree, smallest_shared_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,13 +61,21 @@ class QuadPoint:
 
 def _mobius(g: Mat2, p: Fraction, q: Fraction, m: int):
     """Exact Mobius action on p + q*sqrt(-m); returns (p', q') with
-    q' = q*det/|c*tau+d|^2 (negative q' signals a half-plane swap)."""
-    a, b, c, d = g.entries
-    den = (c * p + d) ** 2 + m * (c * q) ** 2
+    q' = q*det/|c*tau+d|^2 (negative q' signals a half-plane swap).
+
+    Scaling g does not change the map, so g's integer numerators are used,
+    and with p = pn/pd, q = qn/qd everything is cleared to integers over
+    pd^2 * qd^2 before the two results are formed."""
+    a, b, c, d = g.an, g.bn, g.cn, g.dn
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    x = c * pn + d * pd  # (c*p + d) * pd
+    y = a * pn + b * pd  # (a*p + b) * pd
+    qd2, mqn2pd2 = qd * qd, m * qn * qn * pd * pd
+    den = x * x * qd2 + c * c * mqn2pd2
     if den == 0:
         raise ZeroDivisionError("Mobius denominator vanishes")
-    p2 = ((a * p + b) * (c * p + d) + a * c * q * q * m) / den
-    q2 = q * g.det() / den
+    p2 = Fraction(y * x * qd2 + a * c * mqn2pd2, den)
+    q2 = Fraction(qn * g.det_numerator() * pd * pd * qd, den)
     return p2, q2
 
 
@@ -129,13 +137,11 @@ class LevelPoint:
         return reduce_level(self.a, self.level)
 
 
-def _smallest_prime(g: int) -> int:
-    p = 2
-    while p * p <= g:
-        if g % p == 0:
-            return p
-        p += 1
-    return g
+def _frame_prime(P: LevelPoint) -> int:
+    """The smallest prime of the level dividing the orbit frame data
+    (q, p; 0, 1), for a point that is not frame_compatible."""
+    tau = P.tau
+    return smallest_shared_prime(tau.p.denominator * tau.q.denominator * tau.q.numerator, P.level)
 
 
 # -- orbit bookkeeping ---------------------------------------------------------
@@ -161,16 +167,9 @@ def to_base_frame(point: LevelPoint) -> LevelPoint:
     for the frame matrix f of orbit_rep.  Obstructed when the frame is not
     invertible mod the level."""
     if not point.frame_compatible():
-        for x in (
-            point.tau.p.denominator,
-            point.tau.q.denominator,
-            point.tau.q.numerator,
-        ):
-            g = gcd(x, point.level)
-            if g != 1:
-                raise PrecisionObstruction(_smallest_prime(g))
+        raise PrecisionObstruction(_frame_prime(point))
     m, frame = orbit_rep(point.tau)
-    if frame == Mat2(1, 0, 0, 1):
+    if frame == IDENTITY:
         return point
     from .adele import rational_leftmul
 
@@ -287,7 +286,7 @@ def component(P: LevelPoint) -> ComponentIndex:
     the rational determinant (its positive part is absorbed by the rational
     group acting on the left, so only the sign survives)."""
     n = P.level
-    sign = 1 if P.a.r.det() > 0 else -1
+    sign = 1 if P.a.r.det_numerator() > 0 else -1
     return ComponentIndex(P.a.u.det_mod() * sign, n) if n > 1 else ComponentIndex(0, 1)
 
 

@@ -307,7 +307,7 @@ def goursat(
     The subgroup must project onto both factors (NotSubdirect names the
     failing side).  Returns the kernels and the graph of the isomorphism
     A/K2 -> B/K1, checked to be a well-defined bijective homomorphism by
-    enumeration.
+    enumeration (ArithmeticError on a defect).
     """
     sub = span_subgroup(generators, group_a, group_b)
     if len({x[0] for x in sub}) != group_a.order():
@@ -322,10 +322,10 @@ def goursat(
     for a, b in sub:
         ka, kb = a_coset[a], b_coset[b]
         if ka in graph and graph[ka] != kb:
-            raise AssertionError("graph is not well defined")
+            raise ArithmeticError("graph is not well defined")
         graph[ka] = kb
     if len(set(graph.values())) != len(graph):
-        raise AssertionError("graph is not injective")
+        raise ArithmeticError("graph is not injective")
     reps = {ka: min(ka) for ka in graph}
     for ka, a in reps.items():
         for kb, b in reps.items():
@@ -334,6 +334,6 @@ def goursat(
             img_b = min(graph[kb])
             rhs = b_coset[group_b.add(img_a, img_b)]
             if lhs != rhs:
-                raise AssertionError("graph is not a homomorphism")
+                raise ArithmeticError("graph is not a homomorphism")
     table = tuple(sorted(graph.items(), key=lambda t: sorted(t[0])))
     return GoursatData(k1, k2, table)

@@ -463,7 +463,7 @@ def check_point_eq_bounded_oracle(cfg):
         for c in range(-cap, cap + 1):
             if gcd(a, c) != 1:
                 continue
-            g, x, y = _ext_gcd(a, -c)
+            g, x, y = numth.ext_gcd(a, -c)
             for det in (1, -1):
                 b0, d0 = y * det, x * det
                 ts = set()
@@ -493,16 +493,6 @@ def check_point_eq_bounded_oracle(cfg):
         if got != expect:
             raise CheckFailure({"pair": "mismatch", "got": got, "expect": expect})
     return {"pairs": len(pairs), "witness_matrices": len(matrices)}
-
-
-def _ext_gcd(a, b):
-    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 def _point_eq_scan(P, Q, matrices):

@@ -321,3 +321,101 @@ def pair_witnesses_brute(s, t):
 def linear_congruence_exhaustive(alpha: int, beta: int, n: int) -> list[int]:
     """Every x in [0, n) with alpha*x + beta = 0 (mod n)."""
     return [x for x in range(n) if (alpha * x + beta) % n == 0]
+
+
+class FractionMat2:
+    """The rational 2x2 matrix with four Fraction entries that Mat2 replaced:
+    every operation normalises the entries one by one.  Kept as the oracle
+    for the integer-numerator Mat2."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "d", Fraction(d))
+
+    def __setattr__(self, *args):
+        raise AttributeError("FractionMat2 is immutable")
+
+    @property
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def det(self) -> Fraction:
+        return self.a * self.d - self.b * self.c
+
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for x in self.entries)
+
+    def is_unimodular(self) -> bool:
+        return self.is_integral() and self.det() == 1
+
+    def is_gl2z(self) -> bool:
+        return self.is_integral() and self.det() in (1, -1)
+
+    def __mul__(self, other: "FractionMat2") -> "FractionMat2":
+        return FractionMat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inv(self) -> "FractionMat2":
+        det = self.det()
+        if det == 0:
+            raise ZeroDivisionError("singular matrix")
+        return FractionMat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
+
+    def __neg__(self) -> "FractionMat2":
+        return FractionMat2(-self.a, -self.b, -self.c, -self.d)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionMat2) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(("FractionMat2",) + self.entries)
+
+    def __repr__(self):
+        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+
+    def mod(self, n: int):
+        """Reduce mod n; requires entry denominators coprime to n."""
+        from cmcurve.errors import PrecisionObstruction
+        from cmcurve.matrices import ModMat
+
+        if n == 1:
+            return ModMat(0, 0, 0, 0, 1)
+        vals = []
+        for x in self.entries:
+            if gcd(x.denominator, n) != 1:
+                raise PrecisionObstruction(_common_prime(x.denominator, n))
+            vals.append(x.numerator * pow(x.denominator, -1, n) % n)
+        return ModMat(*vals, n)
+
+
+def _common_prime(a: int, n: int) -> int:
+    """Smallest prime dividing gcd(a, n), by trial division."""
+    g = gcd(a, n)
+    p = 2
+    while p * p <= g:
+        if g % p == 0:
+            return p
+        p += 1
+    return g
+
+
+def noninvertible_primes_per_entry(r, n: int) -> set:
+    """The primes of n (by trial division) where the rational matrix r is
+    not an integral unit, read entry by entry: a prime dividing some entry
+    denominator, or the numerator or denominator of the determinant."""
+    det = Fraction(r.det())
+    out = set()
+    for p, _ in trial_division(n):
+        if any(Fraction(x).denominator % p == 0 for x in r.entries):
+            out.add(p)
+        elif det.numerator % p == 0 or det.denominator % p == 0:
+            out.add(p)
+    return out

@@ -96,6 +96,21 @@ class TestShadowAct:
         P = LevelPoint(tau, __import__("cmcurve.adele", fromlist=["AdelicMatrix"]).AdelicMatrix.identity(7), 7)
         assert point_eq(shadow_act(sigma, P), P)
 
+    def test_frame_obstruction_prime_agrees_with_to_base_frame(self):
+        # tau = 1/7 + 5*sqrt(-1) at N = 35: the frame (5, 1/7; 0, 1) meets both
+        # primes of the level, and both calls name the smallest one
+        from cmcurve.adele import AdelicMatrix
+        from cmcurve.errors import PrecisionObstruction
+        from cmcurve.shimura import to_base_frame
+
+        P = LevelPoint(QuadPoint(1, Fraction(1, 7), 5), AdelicMatrix.identity(35), 35)
+        sigma = identity_shadow((1,), 35)
+        with pytest.raises(PrecisionObstruction) as by_frame:
+            to_base_frame(P)
+        with pytest.raises(PrecisionObstruction) as by_shadow:
+            shadow_act(sigma, P)
+        assert by_frame.value.prime == by_shadow.value.prime == 5
+
     def test_equivariance_with_act_unit(self):
         rng = random.Random(501)
         shadows = list(surjective_common_det((1, 2), 7).values())

@@ -8,12 +8,14 @@ from cmcurve.numth import (
     INF,
     Factorization,
     Residue,
+    ext_gcd,
     factor,
     hilbert_places,
     hilbert_symbol,
     intersect_progressions,
     is_prime,
     jacobi,
+    smallest_shared_prime,
     solve_linear_congruence,
     sqrt_mod,
     squarefree_part,
@@ -187,6 +189,25 @@ class TestUnitsMod:
 
     def test_level_one(self):
         assert units_mod(1) == [0]
+
+
+class TestGcdHelpers:
+    def test_ext_gcd_bezout(self):
+        for a in range(-25, 26):
+            for b in range(-25, 26):
+                g, x, y = ext_gcd(a, b)
+                assert a * x + b * y == g
+                assert abs(g) == gcd(a, b)
+
+    def test_smallest_shared_prime_against_trial_division(self):
+        for n in range(2, 400):
+            for x in (1, 2, 6, 35, 77, 143, 1001, 2**61 - 1, 3 * (2**61 - 1)):
+                common = [p for p, _ in trial_division(gcd(x, n))]
+                if common:
+                    assert smallest_shared_prime(x, n) == common[0]
+                else:
+                    with pytest.raises(ValueError):
+                        smallest_shared_prime(x, n)
 
 
 class TestHilbert:

@@ -218,7 +218,7 @@ class TestGoursat:
             sub = span_subgroup(gens, A, B)
             if len({x[0] for x in sub}) != A.order() or len({x[1] for x in sub}) != B.order():
                 continue
-            data = goursat(gens, A, B)  # raises AssertionError on any defect
+            data = goursat(gens, A, B)  # raises ArithmeticError on any defect
             # |M| = |A| * |K1| and the table is a bijection of quotients
             assert len(sub) == A.order() * len(data.k1)
             assert len(sub) == B.order() * len(data.k2)
