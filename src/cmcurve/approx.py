@@ -283,6 +283,19 @@ def faithfulness_check(sigma: GaloisShadow, sample=None) -> bool:
     return shadow_eq(sigma, identity_shadow(sigma.support, sigma.level))
 
 
+def _orbit_sets(rows, per_row, key):
+    """Per orbit, the intersection of the rows' witness sets at key; None as
+    soon as one orbit's intersection is empty."""
+    orbit_sets: dict = {}
+    for (s, _), w in zip(rows, per_row):
+        m = s.orbit
+        cur = orbit_sets.get(m)
+        orbit_sets[m] = w[key] if cur is None else (cur & w[key])
+        if not orbit_sets[m]:
+            return None
+    return orbit_sets
+
+
 def lift_automorphism(table) -> GaloisShadow:
     """Reconstruct a shadow from a mapping table of CM approx points.
 
@@ -315,16 +328,8 @@ def lift_automorphism(table) -> GaloisShadow:
         keys &= set(w)
     for key in sorted(keys, key=_witness_key):
         lam, branch = key
-        orbit_sets: dict = {}
-        ok = True
-        for (s, _), w in zip(rows, per_row):
-            m = s.orbit
-            cur = orbit_sets.get(m)
-            orbit_sets[m] = w[key] if cur is None else (cur & w[key])
-            if not orbit_sets[m]:
-                ok = False
-                break
-        if not ok:
+        orbit_sets = _orbit_sets(rows, per_row, key)
+        if orbit_sets is None:
             continue
         support = tuple(sorted(orbit_sets))
         comps = tuple(
@@ -340,20 +345,6 @@ def lift_automorphism(table) -> GaloisShadow:
         keys = set(per_row[0])
         for w in per_row[1:i]:
             keys &= set(w)
-        feasible = False
-        for key in keys:
-            orbit_sets = {}
-            good = True
-            for (s, _), w in zip(rows[:i], per_row[:i]):
-                m = s.orbit
-                cur = orbit_sets.get(m)
-                orbit_sets[m] = w[key] if cur is None else (cur & w[key])
-                if not orbit_sets[m]:
-                    good = False
-                    break
-            if good:
-                feasible = True
-                break
-        if not feasible:
+        if all(_orbit_sets(rows[:i], per_row[:i], key) is None for key in keys):
             raise RViolation(i)
     raise RViolation(len(rows))  # pragma: no cover - defensive

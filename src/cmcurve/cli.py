@@ -1,7 +1,7 @@
 """Command-line front end: JSON in, JSON out, verification suites.
 
 Exit codes: 0 success, 1 check failure, 2 malformed input, 3 obstruction.
-Inputs are validated against the schemas shipped under cmcurve/schemas.
+Inputs are validated against the schemas defined in cmcurve.serialize.SCHEMAS.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 import jsonschema
 
@@ -25,7 +24,6 @@ from .errors import (
     UnsupportedOrbit,
 )
 from .matrices import Mat2, ModMat
-from .shimura import QuadPoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,11 +79,6 @@ OPERATION_COVERAGE = {
 }
 
 
-def _load_schema(name: str):
-    text = resources.files("cmcurve.schemas").joinpath(f"{name}.json").read_text()
-    return json.loads(text)
-
-
 def _read_input(path, schema_name):
     try:
         if path and path != "-":
@@ -96,7 +89,7 @@ def _read_input(path, schema_name):
     except (OSError, json.JSONDecodeError) as exc:
         raise _BadInput(f"cannot read JSON input: {exc}") from exc
     try:
-        jsonschema.validate(data, _load_schema(schema_name))
+        jsonschema.validate(data, serialize.SCHEMAS[schema_name])
     except jsonschema.ValidationError as exc:
         raise _BadInput(f"input does not match schema {schema_name}: {exc.message}") from exc
     return data
@@ -113,12 +106,6 @@ def _emit(obj, path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _tau_from_json(obj) -> QuadPoint:
-    return QuadPoint(
-        obj["m"], serialize.frac_from_json(obj["p"]), serialize.frac_from_json(obj["q"])
-    )
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -142,7 +129,7 @@ def cmd_point_eq(args):
 
 def cmd_orbit(args):
     data = _read_input(args.infile, "orbit")
-    tau = _tau_from_json(data["tau"])
+    tau = serialize.tau_from_json(data["tau"])
     n, r = shimura.orbit_rep(tau)
     out = {
         "n": n,
@@ -153,7 +140,7 @@ def cmd_orbit(args):
         ),
     }
     if "other" in data:
-        out["same_orbit"] = shimura.same_orbit(tau, _tau_from_json(data["other"]))
+        out["same_orbit"] = shimura.same_orbit(tau, serialize.tau_from_json(data["other"]))
     _emit(out, args.outfile)
     return EXIT_OK
 

@@ -9,7 +9,8 @@ Formats:
                   "branch": +-1, "det": int, "level": int}
 
 Decoder functions validate shapes and reconstruct exact values; canonical
-outputs carry "canonical": true.
+outputs carry "canonical": true.  SCHEMAS holds the JSON Schema (2020-12) of
+each CLI request, built from one definition of each shape above.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def point_to_json(P: LevelPoint, canonical: bool = False) -> dict:
     return out
 
 
+def tau_from_json(obj) -> QuadPoint:
+    return QuadPoint(obj["m"], frac_from_json(obj["p"]), frac_from_json(obj["q"]))
+
+
 def point_from_json(obj) -> LevelPoint:
-    tau = QuadPoint(
-        obj["tau"]["m"], frac_from_json(obj["tau"]["p"]), frac_from_json(obj["tau"]["q"])
-    )
-    return LevelPoint(tau, adelic_from_json(obj["a"]), obj["level"])
+    return LevelPoint(tau_from_json(obj["tau"]), adelic_from_json(obj["a"]), obj["level"])
 
 
 def shadow_to_json(s: GaloisShadow) -> dict:
@@ -108,3 +110,69 @@ def shadow_from_json(obj) -> GaloisShadow:
     level = obj["level"]
     comps = tuple(modmat_from_json(c, level) for c in obj["components"])
     return GaloisShadow(tuple(obj["support"]), comps, obj["branch"], obj["det"], level)
+
+
+# -- request schemas --------------------------------------------------------------
+# Every schema is fully inlined, sharing sub-dicts but never using $defs/$ref:
+# jsonschema.validate meta-checks the whole schema on each call, and $ref
+# resolution slows the instance check.
+
+
+def _array(items, size=None) -> dict:
+    out = {"type": "array", "items": items}
+    if size is not None:
+        out.update(minItems=size, maxItems=size)
+    return out
+
+
+def _object(required: dict, optional: dict | None = None) -> dict:
+    return {
+        "type": "object",
+        "required": list(required),
+        "properties": {**required, **(optional or {})},
+        "additionalProperties": False,
+    }
+
+
+_INT = {"type": "integer"}
+_POSITIVE = {"type": "integer", "minimum": 1}
+_BOOL = {"type": "boolean"}
+_FRACTION = _array(_INT, 2)
+_INTMAT = _array(_INT, 4)
+_TAU = _object({"m": _POSITIVE, "p": _FRACTION, "q": _FRACTION})
+_ADELIC = _object({"r": _array(_FRACTION, 4), "delta": _INT, "s": _INTMAT, "level": _POSITIVE})
+_POINT = _object({"tau": _TAU, "a": _ADELIC, "level": _POSITIVE}, {"canonical": _BOOL})
+_SHADOW = _object(
+    {
+        "support": _array(_POSITIVE),
+        "components": _array(_INTMAT),
+        "branch": {"enum": [1, -1]},
+        "det": _INT,
+        "level": _POSITIVE,
+    }
+)
+_TABLE = {"type": "array", "minItems": 1, "items": _object({"s": _POINT, "t": _POINT})}
+
+
+def _request(required: dict, optional: dict | None = None) -> dict:
+    draft = "https://json-schema.org/draft/2020-12/schema"
+    return {"$schema": draft, **_object(required, optional)}
+
+
+SCHEMAS = {
+    "point_eq": _request({"p1": _POINT, "p2": _POINT}),
+    "orbit": _request({"tau": _TAU}, {"other": _TAU}),
+    "fixed": _request({"g": _INTMAT, "point": _POINT}),
+    "act": _request(
+        {"point": _POINT},
+        {
+            "unit": _INTMAT,
+            "rational": _INTMAT,
+            "shadow": _SHADOW,
+            "project": _POSITIVE,
+            "canonicalize": _BOOL,
+        },
+    ),
+    "relation": _request({"s1": _POINT, "s2": _POINT, "t1": _POINT, "t2": _POINT}),
+    "lift": _request({"table": _TABLE}),
+}

@@ -180,9 +180,10 @@ def check_hilbert_reciprocity(cfg):
     return {"pairs": 1000}
 
 
-def _hilbert_brute(a: Fraction, b: Fraction, p: int) -> int:
+def hilbert_via_search(a: Fraction, b: Fraction, p: int) -> int:
     """Primitive solvability of z^2 = a x^2 + b y^2 mod p^k, square parts
     cleared first; k = 3 at odd p and 6 at p = 2 decide the symbol."""
+    a, b = Fraction(a), Fraction(b)
 
     def vp(x):
         v, num, den = 0, x.numerator, x.denominator
@@ -230,7 +231,7 @@ def check_hilbert_brute_force(cfg):
         )
     for a, b in pairs:
         for p in (2, 3):
-            if numth.hilbert_symbol(a, b, p) != _hilbert_brute(a, b, p):
+            if numth.hilbert_symbol(a, b, p) != hilbert_via_search(a, b, p):
                 raise CheckFailure({"a": str(a), "b": str(b), "p": p})
     return {"pairs": len(pairs), "places": [2, 3]}
 
@@ -238,7 +239,7 @@ def check_hilbert_brute_force(cfg):
 # ---------------------------------------------------------------- qforms checks
 
 
-def _bfs_reduce(coeffs, entry_cap=50):
+def reduce_form_bfs(coeffs, entry_cap=50):
     """Exhaustive-search reduction over generator words with capped entries;
     the A + C + 2|B| metric is non-increasing along a reduction path, so the
     pruned region contains the canonical reduced form."""
@@ -292,7 +293,7 @@ def check_reduction_oracle(cfg):
                     continue
                 f = qforms.QuadForm(A, B, C)
                 g, gamma = qforms.reduce_form(f)
-                oracle = _bfs_reduce((A, B, C))
+                oracle = reduce_form_bfs((A, B, C))
                 if oracle is None or g.coeffs() != oracle[0]:
                     raise CheckFailure({"form": (A, B, C), "got": g.coeffs(), "oracle": oracle and oracle[0]})
                 if f.transform(gamma.inv()) != g:
@@ -628,7 +629,8 @@ def check_fixed_point_covariance(cfg):
 # ---------------------------------------------------------------- shadow checks
 
 
-def _all_shapes(m, n, branch=None):
+def all_shapes(m, n, branch=None):
+    """Every normalizer shape mod n with unit determinant, with its branch."""
     out = []
     for b in (1, -1) if branch is None else (branch,):
         for x in range(n):
@@ -639,8 +641,9 @@ def _all_shapes(m, n, branch=None):
     return out
 
 
-def _all_shadows(support, n):
-    per = {m: _all_shapes(m, n) for m in support}
+def all_shadows(support, n):
+    """Every shadow datum over the support at level n (exhaustive)."""
+    per = {m: all_shapes(m, n) for m in support}
     out = []
     for branch in (1, -1):
         for lam in range(1, n):
@@ -666,7 +669,7 @@ def check_shadow_well_defined(cfg):
     stabilizer fills the whole determinant-one torus, so equality also
     coincides with strict pointwise agreement on a spanning sample."""
     n = 5
-    shapes = _all_shapes(1, n)
+    shapes = all_shapes(1, n)
     sample = approx.spanning_sample((1,), n)
     pairs = agree = 0
     for r, br in shapes:
@@ -692,7 +695,7 @@ def check_shadow_well_defined(cfg):
             pairs += 1
             agree += got
     # sound direction at a second orbit: strict agreement implies equality
-    shapes2 = _all_shapes(2, n)
+    shapes2 = all_shapes(2, n)
     sample2 = approx.spanning_sample((2,), n)
     for r, br in shapes2[:12]:
         s_r = galois.GaloisShadow((2,), (r,), br, r.det(), n)
@@ -758,7 +761,7 @@ def check_equalize_dets(cfg):
 
 def check_exact_sequence(cfg):
     n, support = 5, (1, 2)
-    pool = _all_shadows(support, n)
+    pool = all_shadows(support, n)
     ident = galois.identity_shadow(support, n)
     mirror = galois.mirror_shadow(support, n)
     branches = set()
@@ -780,7 +783,7 @@ def check_exact_sequence(cfg):
     # product structure of the branch +1, det 1 part: orders multiply
     t_orders = []
     for m in support:
-        t_orders.append(len([g for g, b in _all_shapes(m, n, 1) if g.det() == 1]))
+        t_orders.append(len([g for g, b in all_shapes(m, n, 1) if g.det() == 1]))
     det1 = [s for s in pool if s.branch == 1 and s.det == 1]
     expect = 1
     for t in t_orders:
@@ -794,10 +797,10 @@ def check_torus_product_counts(cfg):
     out = {}
     for n in (5, 7):
         for support in ((1,), (1, 2), (1, 2, 3)):
-            det1 = [s for s in _all_shadows(support, n) if s.branch == 1 and s.det == 1]
+            det1 = [s for s in all_shadows(support, n) if s.branch == 1 and s.det == 1]
             per = 1
             for m in support:
-                per *= len([g for g, b in _all_shapes(m, n, 1) if g.det() == 1])
+                per *= len([g for g, b in all_shapes(m, n, 1) if g.det() == 1])
             if len(det1) != per:
                 raise CheckFailure({"level": n, "support": support})
             out[f"N={n},M={support}"] = per
@@ -927,7 +930,7 @@ def check_relation_matches_search(cfg):
     CM tuples at level 5 over the orbits {1, 2}; zero disagreements."""
     n = 5
     rng = cfg.rng(15)
-    shadows = _all_shadows((1, 2), n)
+    shadows = all_shadows((1, 2), n)
     pools = {m: _unit_pool(n, rng, 10) for m in (1, 2)}
     points = {
         m: [
@@ -978,7 +981,7 @@ def check_relation_matches_search(cfg):
 def check_relation_invariance(cfg):
     rng = cfg.rng(16)
     n = 5
-    shadows = _all_shadows((1, 2), n)
+    shadows = all_shadows((1, 2), n)
     pools = {m: _unit_pool(n, rng, 4) for m in (1, 2)}
     points = {
         m: [
@@ -1015,7 +1018,7 @@ def check_faithfulness(cfg):
     )
     if mirror_trivial:
         raise CheckFailure({"mirror_not_separated": True})
-    for sigma in _all_shadows((1,), n):
+    for sigma in all_shadows((1,), n):
         trivial = all(
             approx.approx_eq(approx.shadow_act_approx(sigma, P), P) for P in sample
         )
@@ -1023,14 +1026,14 @@ def check_faithfulness(cfg):
             raise CheckFailure({"sigma_det": sigma.det, "branch": sigma.branch})
         if not approx.faithfulness_check(sigma, sample):
             raise CheckFailure({"faithfulness": False})
-    return {"shadows": len(_all_shadows((1,), n)), "sample": len(sample)}
+    return {"shadows": len(all_shadows((1,), n)), "sample": len(sample)}
 
 
 def check_lift_round_trip(cfg):
     n = 5
     sample = approx.spanning_sample((1, 2), n)
     count = 0
-    for sigma in _all_shadows((1, 2), n):
+    for sigma in all_shadows((1, 2), n):
         table = [(P, approx.shadow_act_approx(sigma, P)) for P in sample]
         lifted = approx.lift_automorphism(table)
         if not galois.shadow_eq(lifted, sigma):

@@ -2,13 +2,22 @@
 
 Each oracle is written independently of the implementation path it checks:
 exhaustive enumeration, trial division, or direct searches.  Expected values
-frozen into the tests were computed with these.
+frozen into the tests were computed with these.  The Hilbert-symbol search,
+BFS form reduction and shape/shadow enumeration are the ones the shipped
+verify suite runs, imported from cmcurve.verify.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+from cmcurve.verify import (  # noqa: F401  (re-exported to the tests)
+    all_shadows,
+    all_shapes,
+    hilbert_via_search,
+    reduce_form_bfs,
+)
 
 
 def trial_division(n: int) -> list[tuple[int, int]]:
@@ -40,93 +49,6 @@ def legendre_exhaustive(a: int, p: int) -> int:
 
 def sqrt_mod_exhaustive(a: int, modulus: int) -> list[int]:
     return [x for x in range(modulus) if x * x % modulus == a % modulus]
-
-
-def hilbert_via_search(a: Fraction, b: Fraction, p: int) -> int:
-    """Hilbert symbol at a prime p by exhaustive primitive solvability of
-    z^2 = a x^2 + b y^2 mod p^k (square parts cleared first so valuations
-    are 0 or 1; k = 3 suffices for odd p, k = 6 for p = 2)."""
-    a, b = Fraction(a), Fraction(b)
-
-    def vp(x: Fraction) -> int:
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return v
-
-    # clear squares so valuations are 0 or 1
-    a = a * Fraction(p) ** (-2 * (vp(a) // 2))
-    b = b * Fraction(p) ** (-2 * (vp(b) // 2))
-    k = 6 if p == 2 else 3
-    pk = p**k
-    ai = a.numerator * pow(a.denominator, -1, pk) % pk
-    bi = b.numerator * pow(b.denominator, -1, pk) % pk
-    has_root = [False] * pk  # value -> exists z with z^2 = value
-    has_unit_root = [False] * pk  # ... with z not divisible by p
-    for z in range(pk):
-        v = z * z % pk
-        has_root[v] = True
-        if z % p:
-            has_unit_root[v] = True
-    for x in range(pk):
-        for y in range(pk):
-            val = (ai * x * x + bi * y * y) % pk
-            if (x % p or y % p) and has_root[val]:
-                return 1
-            if has_unit_root[val]:
-                return 1
-    return -1
-
-
-def reduce_form_bfs(coeffs: tuple[int, int, int], entry_cap: int = 50):
-    """Exhaustive-search reduction: breadth-first over words in the standard
-    generators, tracking the transformation, entries capped.  States with
-    A + C above the start are pruned: every reduction path is descending in
-    A + C, so the unique reduced form of the class stays inside the search
-    region.  Returns the least reduced form reachable and a witness matrix."""
-    from cmcurve.matrices import FLIP, IDENTITY, translation
-
-    def apply(f, g):  # g = f o gamma^{-1} on coefficient triples
-        A, B, C = f
-        a, b, c, d = (int(x) for x in g.inv().entries)
-        A2 = A * a * a + B * a * c + C * c * c
-        B2 = 2 * A * a * b + B * (a * d + b * c) + 2 * C * c * d
-        C2 = A * b * b + B * b * d + C * d * d
-        return (A2, B2, C2)
-
-    def is_reduced(t):
-        A, B, C = t
-        if not (abs(B) <= A <= C):
-            return False
-        return not ((abs(B) == A or A == C) and B < 0)
-
-    cap_sum = coeffs[0] + coeffs[2] + 2 * abs(coeffs[1]) + 2
-    seen = {coeffs: IDENTITY}
-    frontier = [(coeffs, IDENTITY)]
-    gens = [translation(1), translation(-1), FLIP]
-    while frontier:
-        nxt = []
-        for f, gamma in frontier:
-            for g in gens:
-                gamma2 = g * gamma
-                if any(abs(x) > entry_cap for x in gamma2.entries):
-                    continue
-                f2 = apply(f, g)
-                if f2 in seen or f2[0] + f2[2] + 2 * abs(f2[1]) > cap_sum:
-                    continue
-                seen[f2] = gamma2
-                nxt.append((f2, gamma2))
-        frontier = nxt
-    reduced = sorted(t for t in seen if is_reduced(t))
-    if not reduced:
-        return None
-    best = reduced[0]
-    return best, seen[best]
 
 
 def automorphs_exhaustive(coeffs, bound: int = 3):
@@ -206,45 +128,6 @@ def subset_product_square_test(ms) -> bool:
             if prod > 0 and isqrt(prod) ** 2 == prod:
                 return False
     return True
-
-
-def all_shapes(m, n, branch=None):
-    """Every normalizer shape mod n with unit determinant."""
-    from cmcurve.adele import shape_matrix_mod
-
-    out = []
-    branches = (1, -1) if branch is None else (branch,)
-    for b in branches:
-        for x in range(n):
-            for y in range(n):
-                g = shape_matrix_mod(x, y, m, b, n)
-                if g.is_unit():
-                    out.append((g, b))
-    return out
-
-
-def all_shadows(support, n):
-    """Every shadow datum over the support at level n (exhaustive)."""
-    from cmcurve.galois import GaloisShadow
-
-    per_orbit = {}
-    for m in support:
-        per_orbit[m] = all_shapes(m, n)
-    out = []
-    for branch in (1, -1):
-        for lam in range(1, n):
-            if gcd(lam, n) != 1:
-                continue
-            lists = [
-                [g for g, b in per_orbit[m] if b == branch and g.det() == lam]
-                for m in support
-            ]
-            combos = [[]]
-            for lst in lists:
-                combos = [c + [g] for c in combos for g in lst]
-            for combo in combos:
-                out.append(GaloisShadow(tuple(support), tuple(combo), branch, lam, n))
-    return out
 
 
 def pair_witnesses_scan(s, t):

@@ -1,8 +1,11 @@
+import copy
 import json
 import random
 import subprocess
 import sys
 import time
+
+import pytest
 
 from cmcurve import cli
 from cmcurve.adele import AdelicMatrix, UnitPart
@@ -183,6 +186,154 @@ class TestTotalCli:
         proc = self.run_timed(["act"], payload)
         assert proc.returncode == 3, proc.stderr
         assert "prime 5" in proc.stderr
+
+
+# -- schema accept/reject table --------------------------------------------------
+
+DELETE = object()
+
+SHADOW5 = {"support": [1], "components": [[1, 0, 0, 1]], "branch": 1, "det": 1, "level": 5}
+
+VALID_REQUESTS = {
+    "point-eq": {"p1": pt(1, [0, 1], [1, 1], 5), "p2": pt(1, [1, 1], [1, 1], 5)},
+    "orbit": {"tau": {"m": 5, "p": [1, 1], "q": [2, 1]}, "other": {"m": 5, "p": [0, 1], "q": [1, 1]}},
+    "fixed": {"g": [0, -1, 1, 0], "point": pt(1, [0, 1], [1, 1], 5)},
+    "act": {
+        "point": dict(pt(1, [0, 1], [1, 1], 5), canonical=False),
+        "unit": [2, 0, 0, 1],
+        "rational": [1, 1, 0, 1],
+        "shadow": SHADOW5,
+        "project": 5,
+        "canonicalize": True,
+    },
+    "relation": {
+        "s1": pt(1, [1, 1], [1, 1], 5),
+        "s2": pt(2, [2, 1], [1, 1], 5),
+        "t1": pt(1, [-1, 1], [1, 1], 5),
+        "t2": pt(2, [-2, 1], [1, 1], 5),
+    },
+    "lift": {
+        "table": [
+            {"s": pt(1, [0, 1], [1, 1], 5), "t": pt(1, [0, 1], [1, 1], 5)},
+            {"s": pt(2, [0, 1], [1, 1], 5), "t": pt(2, [0, 1], [1, 1], 5)},
+        ]
+    },
+}
+
+# where each request carries a level point
+POINT_PATHS = {
+    "point-eq": [("p1",), ("p2",)],
+    "orbit": [],
+    "fixed": [("point",)],
+    "act": [("point",)],
+    "relation": [("s1",), ("t2",)],
+    "lift": [("table", 0, "s"), ("table", 1, "t")],
+}
+
+# (path inside a level point, replacement or DELETE)
+POINT_MUTATIONS = [
+    (("tau",), DELETE),
+    (("a", "delta"), DELETE),
+    (("extra",), 1),
+    (("a", "extra"), 1),
+    (("tau", "extra"), 1),
+    (("tau", "p"), [1, 1, 1]),
+    (("a", "r", 0), [1, 1, 1]),
+    (("a", "s"), [1, 0, 0]),
+    (("level",), 0),
+    (("a", "level"), 0),
+    (("tau", "m"), 0),
+    (("a", "delta"), 1.5),
+    (("tau", "q", 0), "1"),
+    (("a", "s", 3), 0.5),
+    (("canonical",), "yes"),
+]
+
+REQUEST_MUTATIONS = {
+    "point-eq": [(("p2",), DELETE), (("extra",), 1)],
+    "orbit": [
+        (("tau",), DELETE),
+        (("tau", "q"), DELETE),
+        (("extra",), 1),
+        (("other", "extra"), 1),
+        (("tau", "p"), [1, 1, 1]),
+        (("other", "q"), [1, 1, 1]),
+        (("tau", "m"), 0),
+        (("other", "m"), 0),
+        (("tau", "m"), 1.5),
+        (("other", "p", 1), "1"),
+    ],
+    "fixed": [(("g",), DELETE), (("extra",), 1), (("g",), [0, -1, 1]), (("g", 0), 0.5)],
+    "act": [
+        (("point",), DELETE),
+        (("extra",), 1),
+        (("unit",), [2, 0, 0]),
+        (("rational",), [1, 1, 0]),
+        (("shadow", "components", 0), [1, 0, 0]),
+        (("shadow", "det"), DELETE),
+        (("shadow", "extra"), 1),
+        (("shadow", "branch"), 2),
+        (("shadow", "level"), 0),
+        (("shadow", "support", 0), 0),
+        (("shadow", "det"), 1.5),
+        (("project",), 0),
+        (("unit", 0), "2"),
+        (("canonicalize",), "yes"),
+    ],
+    "relation": [(("t1",), DELETE), (("extra",), 1)],
+    "lift": [
+        (("table",), DELETE),
+        (("table",), []),
+        (("extra",), 1),
+        (("table", 0, "t"), DELETE),
+        (("table", 1, "extra"), 1),
+    ],
+}
+
+REJECTED = [
+    (cmd, path, value)
+    for cmd in VALID_REQUESTS
+    for path, value in REQUEST_MUTATIONS[cmd]
+    + [(base + sub, v) for base in POINT_PATHS[cmd] for sub, v in POINT_MUTATIONS]
+]
+
+
+def mutated(payload, path, value):
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return out
+
+
+def main_in_process(tmp_path, cmd, payload):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    return cli.main([cmd, "--in", str(src), "--out", str(tmp_path / "out.json")])
+
+
+class TestSchemas:
+    """The accept and reject behaviour of every request schema, pinned."""
+
+    @pytest.mark.parametrize("cmd", sorted(VALID_REQUESTS))
+    def test_valid_request_accepted(self, tmp_path, capsys, cmd):
+        assert main_in_process(tmp_path, cmd, VALID_REQUESTS[cmd]) != cli.EXIT_BAD_INPUT
+        assert "does not match schema" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cmd, path, value",
+        REJECTED,
+        ids=[f"{cmd}:{'.'.join(map(str, path))}={'del' if v is DELETE else json.dumps(v)}"
+             for cmd, path, v in REJECTED],
+    )
+    def test_mutation_rejected(self, tmp_path, capsys, cmd, path, value):
+        payload = mutated(VALID_REQUESTS[cmd], path, value)
+        assert main_in_process(tmp_path, cmd, payload) == cli.EXIT_BAD_INPUT
+        assert "does not match schema" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
