@@ -214,6 +214,8 @@ def relation_witness(s1, s2, t1, t2):
     twisted image of s_i; when s1 and s2 share an orbit the witness matrix
     must be common to both rows.
     """
+    if not s1.level == s2.level == t1.level == t2.level:
+        raise ValueError("level mismatch")
     if s1.orbit != t1.orbit or s2.orbit != t2.orbit:
         return None
     w1 = pair_witnesses(s1, t1)

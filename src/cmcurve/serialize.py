@@ -114,8 +114,7 @@ def shadow_from_json(obj) -> GaloisShadow:
 
 # -- request schemas --------------------------------------------------------------
 # Every schema is fully inlined, sharing sub-dicts but never using $defs/$ref:
-# jsonschema.validate meta-checks the whole schema on each call, and $ref
-# resolution slows the instance check.
+# $ref resolution slows the instance check.
 
 
 def _array(items, size=None) -> dict:
@@ -137,7 +136,7 @@ def _object(required: dict, optional: dict | None = None) -> dict:
 _INT = {"type": "integer"}
 _POSITIVE = {"type": "integer", "minimum": 1}
 _BOOL = {"type": "boolean"}
-_FRACTION = _array(_INT, 2)
+_FRACTION = {"type": "array", "prefixItems": [_INT, _POSITIVE], "minItems": 2, "maxItems": 2}
 _INTMAT = _array(_INT, 4)
 _TAU = _object({"m": _POSITIVE, "p": _FRACTION, "q": _FRACTION})
 _ADELIC = _object({"r": _array(_FRACTION, 4), "delta": _INT, "s": _INTMAT, "level": _POSITIVE})

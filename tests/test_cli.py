@@ -5,14 +5,17 @@ import subprocess
 import sys
 import time
 
+import jsonschema
 import pytest
 
 from cmcurve import cli
 from cmcurve.adele import AdelicMatrix, UnitPart
 from cmcurve.matrices import Mat2
 from cmcurve.serialize import (
+    SCHEMAS,
     adelic_from_json,
     adelic_to_json,
+    frac_from_json,
     point_from_json,
     point_to_json,
     shadow_from_json,
@@ -64,6 +67,10 @@ class TestRoundTrips:
         for sigma in surjective_common_det((1, 2), 7).values():
             obj = shadow_to_json(sigma)
             assert shadow_from_json(json.loads(json.dumps(obj))) == sigma
+
+    def test_zero_denominator_rejected_by_decoder(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            frac_from_json([1, 0])
 
 
 class TestSubcommands:
@@ -146,6 +153,20 @@ class TestTotalCli:
             proc = run_cli([cmd], payload)
             assert proc.returncode == 2, (cmd, proc.stderr)
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("m2", [1, 2])
+    def test_relation_mixed_levels_exit_two(self, m2):
+        # t1 at level 7, the rest at 5; with m2 = 2, s2 and t2 lie in
+        # different orbits, which must not hide the level mismatch
+        payload = {
+            "s1": pt(1, [1, 1], [1, 1], 5),
+            "s2": pt(m2, [2, 1], [1, 1], 5),
+            "t1": pt(1, [-1, 1], [1, 1], 7),
+            "t2": pt(1, [-2, 1], [1, 1], 5),
+        }
+        proc = run_cli(["relation"], payload)
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr == "error: level mismatch\n"
 
     def test_zero_unit_exit_two(self):
         proc = run_cli(["act"], {"point": pt(1, [0, 1], [1, 1], 5), "unit": [0, 0, 0, 0]})
@@ -239,6 +260,10 @@ POINT_MUTATIONS = [
     (("tau", "extra"), 1),
     (("tau", "p"), [1, 1, 1]),
     (("a", "r", 0), [1, 1, 1]),
+    (("tau", "p"), [1, 0]),
+    (("tau", "p"), [1, -2]),
+    (("a", "r", 0), [1, 0]),
+    (("a", "r", 0), [1, -2]),
     (("a", "s"), [1, 0, 0]),
     (("level",), 0),
     (("a", "level"), 0),
@@ -258,6 +283,8 @@ REQUEST_MUTATIONS = {
         (("other", "extra"), 1),
         (("tau", "p"), [1, 1, 1]),
         (("other", "q"), [1, 1, 1]),
+        (("tau", "q"), [2, 0]),
+        (("other", "p"), [0, -1]),
         (("tau", "m"), 0),
         (("other", "m"), 0),
         (("tau", "m"), 1.5),
@@ -316,13 +343,37 @@ def main_in_process(tmp_path, cmd, payload):
     return cli.main([cmd, "--in", str(src), "--out", str(tmp_path / "out.json")])
 
 
+def schema_message(cmd, payload):
+    """The message jsonschema.validate gives for the request, or None."""
+    try:
+        jsonschema.validate(payload, SCHEMAS[cmd.replace("-", "_")])
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
 class TestSchemas:
-    """The accept and reject behaviour of every request schema, pinned."""
+    """The accept and reject behaviour of every request schema, pinned, with
+    jsonschema.validate (which meta-checks the schema first) as the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_schema_is_valid_2020_12(self, name):
+        assert SCHEMAS[name]["$schema"] == "https://json-schema.org/draft/2020-12/schema"
+        jsonschema.Draft202012Validator.check_schema(SCHEMAS[name])
 
     @pytest.mark.parametrize("cmd", sorted(VALID_REQUESTS))
     def test_valid_request_accepted(self, tmp_path, capsys, cmd):
+        assert schema_message(cmd, VALID_REQUESTS[cmd]) is None
         assert main_in_process(tmp_path, cmd, VALID_REQUESTS[cmd]) != cli.EXIT_BAD_INPUT
         assert "does not match schema" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", sorted(VALID_REQUESTS))
+    def test_request_skips_metaschema_check(self, tmp_path, capsys, monkeypatch, cmd):
+        def check_schema(*args, **kwargs):
+            raise AssertionError("request schemas are meta-checked by the tests only")
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", check_schema)
+        assert main_in_process(tmp_path, cmd, VALID_REQUESTS[cmd]) != cli.EXIT_BAD_INPUT
 
     @pytest.mark.parametrize(
         "cmd, path, value",
@@ -332,8 +383,11 @@ class TestSchemas:
     )
     def test_mutation_rejected(self, tmp_path, capsys, cmd, path, value):
         payload = mutated(VALID_REQUESTS[cmd], path, value)
+        message = schema_message(cmd, payload)
+        assert message is not None
         assert main_in_process(tmp_path, cmd, payload) == cli.EXIT_BAD_INPUT
-        assert "does not match schema" in capsys.readouterr().err
+        name = cmd.replace("-", "_")
+        assert capsys.readouterr().err == f"error: input does not match schema {name}: {message}\n"
 
 
 class TestVerifyCommand:
