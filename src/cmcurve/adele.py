@@ -39,8 +39,8 @@ class UnitPart:
         n = self.level
         if n < 1:
             raise ValueError("level must be >= 1")
-        object.__setattr__(self, "delta", self.delta % n if n > 1 else 0)
-        if gcd(self.delta if n > 1 else 1, n) != 1:
+        object.__setattr__(self, "delta", self.delta % n)
+        if gcd(self.delta, n) != 1:
             raise ValueError(f"delta must be a unit mod {n}")
         if not self.s.is_unimodular():
             raise ValueError("s must be an integer matrix of determinant +1")
@@ -52,7 +52,7 @@ class UnitPart:
         return diag_mod(self.delta, n) * self.s.mod(n)
 
     def det_mod(self) -> int:
-        return self.delta % self.level if self.level > 1 else 0
+        return self.delta
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +127,6 @@ def reduce_level(g: AdelicMatrix, n: int) -> ModMat:
     prime of the rational part, or when n demands a higher power of a shared
     prime than the stored level knows.
     """
-    if n == 1:
-        return identity_mod(1)
     for p in sorted(_noninvertible_primes(g.r, n)):
         raise PrecisionObstruction(p)
     level = g.level
@@ -165,8 +163,7 @@ def mul(g1: AdelicMatrix, g2: AdelicMatrix) -> AdelicMatrix:
     for p in sorted(_noninvertible_primes(rprime, n)):
         raise PrecisionObstruction(p)
     r_new = g1.r * rprime
-    if n == 1:
-        # at level 1 the congruence part is trivial and the product is exact
+    if n == 1:  # keeps g2's s, where the general path would lift a fresh one
         return AdelicMatrix(r_new, UnitPart(1, g2.u.s, 1), 1)
     rp_mod = rprime.mod(n)
     conj = rp_mod.inv() * diag_mod(g1.u.delta, n) * rp_mod
@@ -180,8 +177,6 @@ def mul(g1: AdelicMatrix, g2: AdelicMatrix) -> AdelicMatrix:
 def _noninvertible_primes(r: Mat2, n: int) -> set:
     """Primes of n where r is not an integral unit: the primes of n among
     AdelicMatrix(r, ...).rational_primes(), found without factoring r."""
-    if n == 1:
-        return set()
     # a prime divides some entry denominator iff it divides den, and away
     # from den it divides det() iff it divides det_numerator()
     den, det = r.den, r.det_numerator()
@@ -193,7 +188,7 @@ def unit_rightmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
     n = g.level
     if h.n != n:
         raise ValueError("level mismatch")
-    if n == 1:
+    if n == 1:  # keeps g's s, where the general path would lift a fresh one
         return g
     if not h.is_unit():
         raise ValueError("level matrix must have unit determinant")
@@ -212,7 +207,7 @@ def unit_leftmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
     n = g.level
     if h.n != n:
         raise ValueError("level mismatch")
-    if n == 1:
+    if n == 1:  # keeps g's s, where the general path would lift a fresh one
         return g
     if not h.is_unit():
         raise ValueError("level matrix must have unit determinant")
@@ -277,7 +272,8 @@ def shape_matrix_mod(x: int, y: int, m: int, branch: int, n: int) -> ModMat:
 
 
 def shape_branch(mat, m: int):
-    """The branch of a normalizer-shape matrix, or None if not a shape."""
+    """The branch of a normalizer-shape matrix, or None if not a shape
+    (branch +1 is tried first)."""
     for branch in (1, -1):
         ok, _ = shape_test(mat, ShapeKind(m, branch))
         if ok:
@@ -303,8 +299,6 @@ def in_gamma_tilde(mat: ModMat, n: int) -> bool:
 def conj_by_dlambda(h: ModMat, lam: int) -> ModMat:
     """d_lambda^{-1} * h * d_lambda: (a, b; c, d) -> (a, b/lambda; lambda*c, d)."""
     n = h.n
-    if n == 1:
-        return h
     if gcd(lam, n) != 1:
         raise ValueError("lambda must be a unit")
     li = pow(lam, -1, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .adele import ShapeKind, conj_by_dlambda, shape_test, unit_rightmul
+from .adele import conj_by_dlambda, shape_branch, unit_rightmul
 from .errors import RViolation
 from .galois import GaloisShadow, identity_shadow, shadow_act, shadow_eq
 from .matrices import ModMat, diag_mod
@@ -24,7 +24,6 @@ from .shimura import (
     ComponentIndex,
     LevelPoint,
     act_unit,
-    point_eq,
     rigid_witnesses,
     to_base_frame,
 )
@@ -55,8 +54,6 @@ def approx_eq(P1: ApproxPoint, P2: ApproxPoint) -> bool:
     if P1.level != P2.level:
         raise ValueError("level mismatch")
     n = P1.level
-    if n == 1:
-        return point_eq(P1.point, P2.point)
     u1, u2 = P1.point.unit_matrix(), P2.point.unit_matrix()
     u2_inv = u2.inv()
     for M in rigid_witnesses(P1.point, P2.point):
@@ -72,8 +69,6 @@ def canonical_rep(P: ApproxPoint) -> LevelPoint:
     representative of the class."""
     pt = P.point
     n = pt.level
-    if n == 1:
-        return pt
     delta = pt.a.u.det_mod()
     if delta == 1:
         return pt
@@ -110,8 +105,6 @@ def eval_curve(label: CurveComponentLabel, P: ApproxPoint) -> ApproxPoint:
     if P.level != n:
         raise ValueError("level mismatch")
     base = canonical_rep(P)
-    if n == 1:
-        return ApproxPoint(base)
     acting = conj_by_dlambda(label.h, label.mu.mu)
     return ApproxPoint(act_unit(acting, base))
 
@@ -159,10 +152,6 @@ def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
     A = _canonical_base(s)
     B = _canonical_base(t)
     out: dict = {}
-    if n == 1:
-        if point_eq(A, B):
-            out[(0, 1)] = {identity_shadow((m,), 1).components[0]}
-        return tuple((k, frozenset(v)) for k, v in out.items())
     ra = A.a.rational_mod(n)
     ua, ub = A.unit_matrix(), B.unit_matrix()
     right = ua.inv() * ra.inv()
@@ -170,11 +159,9 @@ def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
         left = ra * M.inv().mod(n) * ub
         for nu in _shape_twists(left, right, m):
             r = left * diag_mod(nu, n) * right
-            for branch in (1, -1):
-                ok, _ = shape_test(r, ShapeKind(m, branch))
-                if ok:
-                    out.setdefault((r.det(), branch), set()).add(r)
-                    break
+            branch = shape_branch(r, m)
+            if branch is not None:
+                out.setdefault((r.det(), branch), set()).add(r)
     return tuple((k, frozenset(v)) for k, v in out.items())
 
 
@@ -254,7 +241,7 @@ def spanning_sample(support, level: int) -> list:
     shear = ModMat(1, 1, 0, 1, level)
     matrices = [ModMat(1, 0, 0, 1, level), shear]
     for lam in units_mod(level, limit=3):
-        if level > 1 and lam != 1:
+        if level > 1 and lam != 1:  # units_mod(1) is [0]: no further sample points
             matrices.append(diag_mod(lam, level))
             matrices.append(diag_mod(lam, level) * shear)
     for m in support:
@@ -337,7 +324,7 @@ def lift_automorphism(table) -> GaloisShadow:
         comps = tuple(
             min(orbit_sets[m], key=lambda g: g.entries) for m in support
         )
-        sigma = GaloisShadow(support, comps, branch, lam if level > 1 else 0, level)
+        sigma = GaloisShadow(support, comps, branch, lam, level)
         if all(
             approx_eq(shadow_act_approx(sigma, s), t) for s, t in rows
         ):

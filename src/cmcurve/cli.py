@@ -236,7 +236,6 @@ def cmd_verify(args):
         seed=args.seed,
         count=args.count,
         strict_good_level=args.strict_good_level,
-        out=args.outfile,
     )
     report = verify.run_suite(args.suite, cfg)
     _emit(report.to_json(), args.outfile)
@@ -289,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("CMCURVE_SEED", "0")),
+        # a string default goes through type=int only when verify is parsed,
+        # so a malformed CMCURVE_SEED is a usage error of verify alone
+        default=os.environ.get("CMCURVE_SEED", "0"),
         help="random seed (falls back to CMCURVE_SEED)",
     )
     p.add_argument("--count", type=int, default=200)

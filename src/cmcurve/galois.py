@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .adele import ShapeKind, shape_matrix_mod, shape_test, unit_leftmul
+from .adele import ShapeKind, shape_branch, shape_matrix_mod, shape_test, unit_leftmul
 from .errors import (
     LevelObstruction,
     NormObstruction,
@@ -57,9 +57,7 @@ class GaloisShadow:
             raise ValueError("support/component length mismatch")
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "components", tuple(self.components))
-        if n == 1:
-            object.__setattr__(self, "det", 0)
-        elif type(self.det) is not int or not 0 <= self.det < n:
+        if type(self.det) is not int or not 0 <= self.det < n:
             # a det already in range keeps its object, shared with the
             # caller's lambda (surjective_common_det's keys)
             object.__setattr__(self, "det", self.det % n)
@@ -71,7 +69,7 @@ class GaloisShadow:
             ok, _ = shape_test(comp, ShapeKind(m, self.branch))
             if not ok:
                 raise ValueError(f"component for m={m} fails the branch {self.branch} shape test")
-            if n > 1 and comp.det() != self.det:
+            if comp.det() != self.det:
                 raise ValueError("components must share the common determinant")
 
     def component_for(self, m: int) -> ModMat:
@@ -86,7 +84,7 @@ def identity_shadow(support, level: int) -> GaloisShadow:
         tuple(support),
         tuple(identity_mod(level) for _ in support),
         1,
-        1 % level if level > 1 else 0,
+        1 % level,
         level,
     )
 
@@ -97,7 +95,7 @@ def mirror_shadow(support, level: int) -> GaloisShadow:
         tuple(support),
         tuple(ModMat(-1, 0, 0, 1, level) for _ in support),
         -1,
-        (-1) % level if level > 1 else 0,
+        (-1) % level,
         level,
     )
 
@@ -111,17 +109,14 @@ def shadow_mul(s1: GaloisShadow, s2: GaloisShadow) -> GaloisShadow:
         s1.support,
         comps,
         s1.branch * s2.branch,
-        s1.det * s2.det % s1.level if s1.level > 1 else 0,
+        s1.det * s2.det % s1.level,
         s1.level,
     )
 
 
 def shadow_inv(s: GaloisShadow) -> GaloisShadow:
     comps = tuple(c.inv() for c in s.components)
-    n = s.level
-    return GaloisShadow(
-        s.support, comps, s.branch, pow(s.det, -1, n) if n > 1 else 0, n
-    )
+    return GaloisShadow(s.support, comps, s.branch, pow(s.det, -1, s.level), s.level)
 
 
 def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
@@ -136,8 +131,6 @@ def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
     m = P.tau.m
     r = sigma.component_for(m)
     n = P.level
-    if n == 1:
-        return P
     if not P.frame_compatible():
         raise PrecisionObstruction(_frame_prime(P))
     _, frame = orbit_rep(P.tau)
@@ -160,8 +153,6 @@ def shadow_eq(s1: GaloisShadow, s2: GaloisShadow) -> bool:
     if s1.branch != s2.branch:
         return False
     n = s1.level
-    if n == 1:
-        return True
     if s1.det != s2.det:
         return False
     for m, c1, c2 in zip(s1.support, s1.components, s2.components):
@@ -218,21 +209,13 @@ def equalize_dets(entries, hints) -> tuple[GaloisShadow, NormalizationCertificat
         hint = Fraction(hint)
         if hint <= 0:
             raise ValueError("determinant hints must be positive rationals")
-        branch = None
-        for b in (1, -1):
-            ok, _ = shape_test(mat, ShapeKind(m, b))
-            if ok:
-                branch = b
-                break
+        branch = shape_branch(mat, m)
         if branch is None:
             raise ValueError(f"matrix for m={m} is not a normalizer shape")
         branches.append(branch)
-        if n > 1:
-            if gcd(hint.numerator, n) != 1 or gcd(hint.denominator, n) != 1:
-                raise PrecisionObstruction(smallest_shared_prime(hint.numerator * hint.denominator, n))
-            lams.append(mat.det() * pow(hint.numerator, -1, n) * hint.denominator % n)
-        else:
-            lams.append(0)
+        if gcd(hint.numerator, n) != 1 or gcd(hint.denominator, n) != 1:
+            raise PrecisionObstruction(smallest_shared_prime(hint.numerator * hint.denominator, n))
+        lams.append(mat.det() * pow(hint.numerator, -1, n) * hint.denominator % n)
     if len(set(branches)) != 1:
         raise ValueError("branch signs must be uniform for a common determinant")
     if len(set(lams)) != 1:
@@ -248,7 +231,7 @@ def equalize_dets(entries, hints) -> tuple[GaloisShadow, NormalizationCertificat
         s, t = sol
         g0 = Mat2(s, m * t, -t, s)
         adjusters.append((m, g0, 1 / hint))
-        comps.append(mat * g0.mod(n) if n > 1 else mat)
+        comps.append(mat * g0.mod(n))
     shadow = GaloisShadow(
         tuple(m for m, _ in entries), tuple(comps), branches[0], lam, n
     )
@@ -311,8 +294,8 @@ def surjective_common_det(support, level: int) -> dict:
     if not is_good_level(level, support):
         raise LevelObstruction(level, support)
     out = {}
-    units = units_mod(level) if level > 1 else [1]
-    prime_powers = [(p, e, p**e) for p, e in factor(level).factors] if level > 1 else []
+    units = units_mod(level) if level > 1 else [1]  # level 1 keeps its key 1, not 0
+    prime_powers = [(p, e, p**e) for p, e in factor(level).factors]
     for lam in units:
         comps = []
         for m in support:
@@ -322,8 +305,8 @@ def surjective_common_det(support, level: int) -> dict:
                 x, y = _norm_residue(m, lam % pe, p, e)
                 residues_x.append((x, pe))
                 residues_y.append((y, pe))
-            x = crt(residues_x)[0] if residues_x else 0
-            y = crt(residues_y)[0] if residues_y else 0
+            x = crt(residues_x)[0]
+            y = crt(residues_y)[0]
             comps.append(shape_matrix_mod(x, y, m, 1, level))
         out[lam] = GaloisShadow(support, tuple(comps), 1, lam, level)
     return out
@@ -359,6 +342,6 @@ def shadow_project(sigma: GaloisShadow, new_level: int, new_support=None) -> Gal
         support,
         tuple(comps),
         sigma.branch,
-        sigma.det % new_level if new_level > 1 else 0,
+        sigma.det % new_level,
         new_level,
     )

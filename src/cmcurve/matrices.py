@@ -130,8 +130,6 @@ class Mat2:
         """Reduce mod n; requires entry denominators coprime to n.  The
         obstruction names the smallest prime of n dividing the denominator
         of the first entry that meets n."""
-        if n == 1:
-            return ModMat(0, 0, 0, 0, 1)
         den = self.den
         if den == 1:
             return ModMat(self.an, self.bn, self.cn, self.dn, n)
@@ -226,7 +224,7 @@ class ModMat:
         det = self.det()
         if gcd(det, self.n) != 1:
             raise ZeroDivisionError(f"determinant {det} not a unit mod {self.n}")
-        di = pow(det, -1, self.n) if self.n > 1 else 0
+        di = pow(det, -1, self.n)
         return ModMat(self.d * di, -self.b * di, -self.c * di, self.a * di, self.n)
 
     def scalar_mul(self, k: int) -> "ModMat":
@@ -237,9 +235,6 @@ class ModMat:
         if self.n % m != 0:
             raise ValueError(f"{m} does not divide modulus {self.n}")
         return ModMat(self.a, self.b, self.c, self.d, m)
-
-    def is_identity(self) -> bool:
-        return self == identity_mod(self.n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -258,7 +253,6 @@ class ModMat:
 # -- common constant matrices ----------------------------------------------
 
 IDENTITY = Mat2(1, 0, 0, 1)
-SHIFT = Mat2(1, 1, 0, 1)          # tau -> tau + 1
 FLIP = Mat2(0, -1, 1, 0)          # tau -> -1/tau
 MIRROR = Mat2(-1, 0, 0, 1)        # tau -> -tau, swaps half-planes (det -1)
 
@@ -284,7 +278,7 @@ def sl2_lift(m: ModMat) -> Mat2:
     bottom one.
     """
     n = m.n
-    if n == 1:
+    if n == 1:  # the construction below would give (0, -1; 1, 0)
         return IDENTITY
     if m.det() != 1 % n:
         raise ValueError("matrix does not have determinant 1 mod n")

@@ -331,6 +331,7 @@ def crt(pairs) -> tuple[int, int]:
         g = gcd(n, m)
         if g != 1:
             raise ValueError("moduli must be coprime")
+        # the first step is r % m: a shortcut on surjective_common_det's per-unit path
         x = (x * m * pow(m, -1, n) + r * n * pow(n, -1, m)) % (n * m) if n > 1 else r % m
         n *= m
     return x, n
@@ -390,7 +391,7 @@ def intersect_progressions(p1, p2):
 def units_mod(n: int, limit: int | None = None) -> list:
     """The units of Z/n as residues in [0, n), increasing ([0] for n = 1);
     only the first `limit` of them when a limit is given."""
-    if n == 1:
+    if n == 1:  # 0 is the one unit of Z/1, which range(1, n) would miss
         return [0]
     units = (x for x in range(1, n) if gcd(x, n) == 1)
     return list(units if limit is None else islice(units, limit))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .errors import NormObstruction
 from .matrices import FLIP, IDENTITY, Mat2, translation
 from .numth import (
     INF,
@@ -314,11 +313,3 @@ def solve_form_rational(m: int, k, search_bound: int = 10**4):
         f"no solution of s^2+{m}t^2={k} with denominator <= {search_bound}; "
         "local checks passed so one exists beyond the search bound"
     )
-
-
-def solve_form_rational_or_raise(m: int, k):
-    """Like solve_form_rational but raises NormObstruction on failure."""
-    sol = solve_form_rational(m, k)
-    if sol is None:
-        raise NormObstruction(norm_obstruction(m, k))
-    return sol

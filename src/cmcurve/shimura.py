@@ -54,10 +54,6 @@ class QuadPoint:
             raise ValueError("matrix does not preserve the upper half-plane")
         return QuadPoint(self.m, p2, q2)
 
-    def conjugate_negated(self) -> "QuadPoint":
-        """-conj(tau) = -p + q*sqrt(-m), the mirror image in the half-plane."""
-        return QuadPoint(self.m, -self.p, self.q)
-
 
 def _mobius(g: Mat2, p: Fraction, q: Fraction, m: int):
     """Exact Mobius action on p + q*sqrt(-m); returns (p', q') with
@@ -88,8 +84,8 @@ class ComponentIndex:
 
     def __post_init__(self):
         n = self.level
-        object.__setattr__(self, "mu", self.mu % n if n > 1 else 0)
-        if n > 1 and gcd(self.mu, n) != 1:
+        object.__setattr__(self, "mu", self.mu % n)
+        if gcd(self.mu, n) != 1:
             raise ValueError("component index must be a unit")
 
 
@@ -191,13 +187,9 @@ class PointEqWitness:
     level: int
 
 
-def _halfplane_normalized(point: LevelPoint):
+def _sigma_normalized(tau: QuadPoint, r: Mat2):
     """(sigma, flip) with sigma = r^{-1}(tau) mirrored into the upper
     half-plane; flip records whether the mirror was applied."""
-    return _sigma_normalized(point.tau, point.a.r)
-
-
-def _sigma_normalized(tau: QuadPoint, r: Mat2):
     p2, q2 = _mobius(r.inv(), tau.p, tau.q, tau.m)
     if q2 > 0:
         return QuadPoint(tau.m, p2, q2), False
@@ -285,9 +277,8 @@ def component(P: LevelPoint) -> ComponentIndex:
     """The component index: determinant of the unit part times the sign of
     the rational determinant (its positive part is absorbed by the rational
     group acting on the left, so only the sign survives)."""
-    n = P.level
     sign = 1 if P.a.r.det_numerator() > 0 else -1
-    return ComponentIndex(P.a.u.det_mod() * sign, n) if n > 1 else ComponentIndex(0, 1)
+    return ComponentIndex(P.a.u.det_mod() * sign, P.level)
 
 
 def is_fixed(g: LevelMatrix, P: LevelPoint) -> bool:
@@ -299,9 +290,6 @@ def is_fixed(g: LevelMatrix, P: LevelPoint) -> bool:
     """
     if g.n != P.level:
         raise ValueError("level mismatch")
-    n = P.level
-    if n == 1:
-        return True
     base = to_base_frame(P)
     amod = base.full_matrix()
     conj = amod * g * amod.inv()
@@ -315,5 +303,5 @@ def project(P: LevelPoint, new_level: int) -> LevelPoint:
     if P.level % new_level:
         raise ValueError("new level must divide the old one")
     u = P.a.u
-    a2 = AdelicMatrix(P.a.r, UnitPart(u.delta % new_level if new_level > 1 else 0, u.s, new_level), new_level)
+    a2 = AdelicMatrix(P.a.r, UnitPart(u.delta, u.s, new_level), new_level)
     return LevelPoint(P.tau, a2, new_level)

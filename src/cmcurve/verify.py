@@ -40,7 +40,6 @@ class SuiteConfig:
     seed: int = 0
     count: int = 200
     strict_good_level: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         if self.level < 1:

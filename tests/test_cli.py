@@ -430,6 +430,29 @@ class TestVerifyCommand:
         assert proc.returncode == 2
 
 
+class TestSeedEnvironment:
+    """CMCURVE_SEED is the default of verify --seed and is read by no other
+    subcommand."""
+
+    def test_malformed_seed_ignored_by_other_subcommands(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CMCURVE_SEED", "abc")
+        assert main_in_process(tmp_path, "orbit", VALID_REQUESTS["orbit"]) == cli.EXIT_OK
+        assert json.loads((tmp_path / "out.json").read_text())["n"] == 5
+
+    def test_malformed_seed_is_a_verify_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMCURVE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "lift"])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+
+    def test_seed_from_environment(self, monkeypatch):
+        monkeypatch.setenv("CMCURVE_SEED", "3")
+        assert cli.build_parser().parse_args(["verify", "lift"]).seed == 3
+        monkeypatch.setenv("CMCURVE_SEED", "abc")
+        assert cli.build_parser().parse_args(["verify", "lift", "--seed", "5"]).seed == 5
+
+
 class TestCoverageAudit:
     def test_every_operation_has_one_subcommand(self):
         spec_operations = [

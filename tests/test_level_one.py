@@ -51,7 +51,7 @@ from cmcurve.galois import (
     shadow_project,
     surjective_common_det,
 )
-from cmcurve.matrices import FLIP, Mat2, ModMat, translation
+from cmcurve.matrices import FLIP, IDENTITY, Mat2, ModMat, sl2_lift, translation
 from cmcurve.shimura import (
     ComponentIndex,
     LevelPoint,
@@ -299,6 +299,13 @@ def test_level_one_transcript(seed):
     tr = level_one_transcript(seed)
     assert len(tr.lines) == 852
     assert tr.digest() == TRANSCRIPT_DIGESTS[seed]
+
+
+def test_sl2_lift_at_level_one():
+    # mul and the unit-side products never lift at level 1, so this is the
+    # one place the lift's own level-1 answer shows
+    for entries in ((0, 0, 0, 0), (1, 0, 0, 1), (3, -1, 4, 1)):
+        assert sl2_lift(ModMat(*entries, 1)) == IDENTITY
 
 
 # -- the six JSON subcommands at level 1 ----------------------------------------------
