@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -317,6 +319,89 @@ class TestLift:
             table = [(P, shadow_act_approx(sigma, P)) for P in sample]
             lifted = lift_automorphism(table)
             assert lifted.det == lam
+
+
+def lift_outcome(table):
+    """The shadow lift_automorphism returns, or the row it rejects."""
+    try:
+        sigma = lift_automorphism(table)
+    except RViolation as exc:
+        return ["violation", exc.index]
+    comps = [list(c.entries) for c in sigma.components]
+    return ["shadow", list(sigma.support), comps, sigma.branch, sigma.det, sigma.level]
+
+
+def joint_failure_tables():
+    """At N = 5, rows (base(1), sigma base(1)), (base(2), sigma base(2)) and
+    (shear base(2), tau shear base(2)) for one shadow sigma, tau per
+    (det, branch): some pass the relation against row 1 and still admit no
+    single shadow."""
+    n = 5
+    per_key = {}
+    for sigma in all_shadows((1, 2), n):
+        per_key.setdefault((sigma.det, sigma.branch), sigma)
+    base1, base2 = ap(1, 0, 1, n), ap(2, 0, 1, n)
+    sheared = ap(2, 0, 1, n, unit=ModMat(1, 1, 0, 1, n))
+    return [
+        [
+            (base1, shadow_act_approx(sigma, base1)),
+            (base2, shadow_act_approx(sigma, base2)),
+            (sheared, shadow_act_approx(tau, sheared)),
+        ]
+        for sigma in per_key.values()
+        for tau in per_key.values()
+    ]
+
+
+def seeded_lift_tables(rng, count):
+    """Tables of one to four spanning-sample rows moved by one shadow, half
+    of them with one row's image replaced: by another shadow's image, by a
+    unit shear of the image, or by an arbitrary sample point."""
+    tables = []
+    for _ in range(count):
+        n = rng.choice((5, 7, 11, 13, 35))
+        shadows = list(surjective_common_det((1, 2), n).values())
+        sample = spanning_sample((1, 2), n)
+        sigma = rng.choice(shadows)
+        table = [(s, shadow_act_approx(sigma, s)) for s in rng.sample(sample, rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            i = rng.randrange(len(table))
+            s, t = table[i]
+            mode = rng.randrange(3)
+            if mode == 0:
+                t = shadow_act_approx(rng.choice(shadows), s)
+            elif mode == 1:
+                t = ApproxPoint(act_unit(ModMat(1, rng.randrange(n), 0, 1, n), t.point))
+            else:
+                t = rng.choice(sample)
+            table[i] = (s, t)
+        tables.append(table)
+    return tables
+
+
+class TestLiftPinned:
+    def test_joint_failures_reach_the_global_solve(self):
+        tables = joint_failure_tables()
+        outcomes = [lift_outcome(table) for table in tables]
+        assert sum(o[0] == "shadow" for o in outcomes) == 14
+        assert all(o == ["violation", 3] for o in outcomes if o[0] == "violation")
+        joint = [
+            o
+            for table, o in zip(tables, outcomes)
+            if o[0] == "violation"
+            and relation_witness(table[0][0], table[2][0], table[0][1], table[2][1])
+        ]
+        assert len(joint) == 2
+
+    def test_results_pinned(self):
+        outcomes = [lift_outcome(t) for t in joint_failure_tables()]
+        outcomes += [lift_outcome(t) for t in seeded_lift_tables(random.Random(1), 400)]
+        kinds = [o[0] if o[0] == "shadow" else o[1] for o in outcomes]
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "shadow": 238, 1: 33, 2: 103, 3: 76, 4: 14
+        }
+        blob = json.dumps(outcomes).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == "cb5bfefd56ea5df7"
 
 
 def random_unit(rng, n):
