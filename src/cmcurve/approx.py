@@ -272,19 +272,6 @@ def faithfulness_check(sigma: GaloisShadow, sample=None) -> bool:
     return shadow_eq(sigma, identity_shadow(sigma.support, sigma.level))
 
 
-def _orbit_sets(rows, per_row, key):
-    """Per orbit, the intersection of the rows' witness sets at key; None as
-    soon as one orbit's intersection is empty."""
-    orbit_sets: dict = {}
-    for (s, _), w in zip(rows, per_row):
-        m = s.orbit
-        cur = orbit_sets.get(m)
-        orbit_sets[m] = w[key] if cur is None else (cur & w[key])
-        if not orbit_sets[m]:
-            return None
-    return orbit_sets
-
-
 def lift_automorphism(table) -> GaloisShadow:
     """Reconstruct a shadow from a mapping table of CM approx points.
 
@@ -307,19 +294,23 @@ def lift_automorphism(table) -> GaloisShadow:
     for i, (s, t) in enumerate(rows[1:], start=2):
         if relation_witness(s1, s, t1, t) is None:
             raise RViolation(i)
-    # global solve: intersect witness sets per orbit over all rows
-    per_row = [pair_witnesses(s, t) for s, t in rows]
-    for idx, w in enumerate(per_row):
-        if not w:
-            raise RViolation(idx + 1)
-    keys = set(per_row[0])
-    for w in per_row[1:]:
-        keys &= set(w)
-    for key in sorted(keys, key=_witness_key):
-        lam, branch = key
-        orbit_sets = _orbit_sets(rows, per_row, key)
-        if orbit_sets is None:
-            continue
+    # one pass over the rows: per (determinant, branch) key, the per-orbit
+    # intersection of the witness sets; a key drops out when one empties
+    alive = {key: {s1.orbit: ws} for key, ws in pair_witnesses(s1, t1).items()}
+    if not alive:  # only a one-row table: the relation loop rejects longer ones
+        raise RViolation(1)
+    for i, (s, t) in enumerate(rows[1:], start=2):
+        w, m = pair_witnesses(s, t), s.orbit
+        survivors = {}
+        for key, sets in alive.items():
+            if key in w:
+                common = w[key] & sets.get(m, w[key])
+                if common:
+                    survivors[key] = {**sets, m: common}
+        alive = survivors
+        if not alive:
+            raise RViolation(i)
+    for (lam, branch), orbit_sets in sorted(alive.items(), key=lambda kv: _witness_key(kv[0])):
         support = tuple(sorted(orbit_sets))
         comps = tuple(
             min(orbit_sets[m], key=lambda g: g.entries) for m in support
@@ -329,11 +320,4 @@ def lift_automorphism(table) -> GaloisShadow:
             approx_eq(shadow_act_approx(sigma, s), t) for s, t in rows
         ):
             return sigma
-    # no single shadow is consistent with every row: locate a failing prefix
-    for i in range(2, len(rows) + 1):
-        keys = set(per_row[0])
-        for w in per_row[1:i]:
-            keys &= set(w)
-        if all(_orbit_sets(rows[:i], per_row[:i], key) is None for key in keys):
-            raise RViolation(i)
-    raise RViolation(len(rows))  # pragma: no cover - defensive
+    raise RViolation(len(rows))

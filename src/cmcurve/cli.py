@@ -230,14 +230,7 @@ def cmd_lift(args):
 
 
 def cmd_verify(args):
-    cfg = verify.SuiteConfig(
-        level=args.level,
-        support=args.support,
-        seed=args.seed,
-        count=args.count,
-        strict_good_level=args.strict_good_level,
-    )
-    report = verify.run_suite(args.suite, cfg)
+    report = verify.run_suite(args.suite, verify.SuiteConfig(args.seed))
     _emit(report.to_json(), args.outfile)
     status = report.status()
     for check in report.checks:
@@ -248,13 +241,6 @@ def cmd_verify(args):
     if status == "obstructed":
         return EXIT_OBSTRUCTED
     return EXIT_OK
-
-
-def _support_arg(text):
-    try:
-        return tuple(int(x) for x in text.split(",") if x)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("support must be comma-separated integers") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=verify.suite_names())
-    p.add_argument("--level", type=int, default=5)
-    p.add_argument("--support", type=_support_arg, default=(1, 2))
     p.add_argument(
         "--seed",
         type=int,
@@ -293,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("CMCURVE_SEED", "0"),
         help="random seed (falls back to CMCURVE_SEED)",
     )
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--strict-good-level", action="store_true")
     p.add_argument("--out", dest="outfile", default="-")
     p.set_defaults(handler=cmd_verify)
 

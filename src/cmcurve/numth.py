@@ -34,22 +34,6 @@ class Residue:
             raise ValueError("modulus must be >= 2")
         object.__setattr__(self, "value", self.value % self.modulus)
 
-    def __mul__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return Residue(self.value * other.value, self.modulus)
-
-    def __add__(self, other: "Residue") -> "Residue":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return Residue(self.value + other.value, self.modulus)
-
-    def inv(self) -> "Residue":
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
-
-    def is_unit(self) -> bool:
-        return gcd(self.value, self.modulus) == 1
-
 
 @dataclass(frozen=True, slots=True)
 class Factorization:

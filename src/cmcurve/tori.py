@@ -101,10 +101,6 @@ class SignModule:
     def act(self, eps, v):
         return tuple(e * x for e, x in zip(eps, v))
 
-    def characters(self):
-        """Per-coordinate character vectors (eps_j[i])_j."""
-        return [tuple(eps[i] for eps in self.generators) for i in range(self.rank)]
-
 
 @dataclass(frozen=True, slots=True)
 class Sublattice:

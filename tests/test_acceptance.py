@@ -10,7 +10,7 @@ import time
 
 from cmcurve import verify
 
-CFG = verify.SuiteConfig(level=5, support=(1, 2), seed=2026, count=200)
+CFG = verify.SuiteConfig(seed=2026)
 
 
 def run_criterion(number, title, check, budget_seconds, cfg=CFG):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import subprocess
@@ -8,8 +9,9 @@ import time
 import jsonschema
 import pytest
 
-from cmcurve import cli
+from cmcurve import cli, verify
 from cmcurve.adele import AdelicMatrix, UnitPart
+from cmcurve.errors import LevelObstruction
 from cmcurve.matrices import Mat2
 from cmcurve.serialize import (
     SCHEMAS,
@@ -404,26 +406,36 @@ class TestVerifyCommand:
             for c in r["checks"]:
                 c.pop("seconds")
         assert r1 == r2
+        assert r1["config"] == {"seed": 7}
 
-    def test_bad_level_obstructed(self, tmp_path):
+    def test_obstructed_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        def check_bad_level(cfg):
+            raise LevelObstruction(10, (5,))
+
+        monkeypatch.setitem(verify.SUITES, "shadows", [("bad_level", check_bad_level)])
         out = tmp_path / "rep.json"
-        proc = run_cli(
-            [
-                "verify",
-                "shadows",
-                "--level",
-                "10",
-                "--support",
-                "5",
-                "--strict-good-level",
-                "--out",
-                str(out),
-            ]
-        )
-        assert proc.returncode == 3
+        assert cli.main(["verify", "shadows", "--out", str(out)]) == cli.EXIT_OBSTRUCTED
         rep = json.loads(out.read_text())
         assert rep["status"] == "obstructed"
-        assert any(c["status"] == "obstructed" for c in rep["checks"])
+        assert [c["status"] for c in rep["checks"]] == ["obstructed"]
+        assert capsys.readouterr().err.startswith("OBSTRUCTED shadows:bad_level")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--level", "5"], ["--support", "1,2"], ["--count", "10"], ["--strict-good-level"]],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "lift", *flags])
+        assert exc.value.code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+        assert "Traceback" not in err
+
+    def test_seed_is_the_only_setting(self):
+        args = cli.build_parser().parse_args(["verify", "lift"])
+        assert sorted(vars(args)) == ["command", "handler", "outfile", "seed", "suite"]
+        assert [f.name for f in dataclasses.fields(verify.SuiteConfig)] == ["seed"]
 
     def test_unknown_suite_rejected(self):
         proc = run_cli(["verify", "nonsense"])
