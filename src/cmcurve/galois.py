@@ -27,7 +27,6 @@ from .errors import (
 )
 from .matrices import Mat2, ModMat, identity_mod
 from .numth import (
-    crt,
     factor,
     is_prime,
     is_squarefree,
@@ -280,33 +279,85 @@ def _norm_residue(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
     raise ArithmeticError(f"no norm residue for lam={lam} mod {p}^{k}")  # pragma: no cover
 
 
+def _canonical_roots(p: int) -> list:
+    """roots[a] = sqrt_mod_unchecked(a, p, 1) for every residue a mod the odd
+    prime p: the root min(x, p - x) is the x in [0, (p-1)/2], and the
+    non-squares hold None."""
+    roots = [None] * p
+    for x in range((p + 1) // 2):
+        roots[x * x % p] = x
+    return roots
+
+
+def _norm_residue_table(m: int, p: int, e: int, roots) -> tuple[list, list]:
+    """xs, ys with (xs[r], ys[r]) = _norm_residue(m, r, p, e) for every unit r
+    mod p^e (0, 0 at the non-units).
+
+    For e = 1, roots is _canonical_roots(p).  The scan runs y0 upward as
+    _norm_residue does, and its first y0 with r - m*y0^2 a square is the
+    answer: when that residue is 0, p - y0 would hit too, so y0 is already
+    the canonical root that _norm_residue's y-side branch lifts.  For e > 1,
+    each unit is one _norm_residue call.
+    """
+    pe = p**e
+    xs = [0] * pe
+    ys = [0] * pe
+    if e > 1:
+        for r in range(1, pe):
+            if r % p:
+                xs[r], ys[r] = _norm_residue(m, r, p, e)
+        return xs, ys
+    m %= p
+    for r in range(1, p):
+        for y0 in range(p):
+            x0 = roots[(r - m * y0 * y0) % p]
+            if x0 is not None:
+                xs[r] = x0
+                ys[r] = y0
+                break
+        else:  # pragma: no cover - the conic has p - chi(-m) points
+            raise ArithmeticError(f"no norm residue for lam={r} mod {p}")
+    return xs, ys
+
+
 def surjective_common_det(support, level: int) -> dict:
     """For every unit lambda mod the level, a branch +1 shadow of common
-    determinant lambda, built from per-prime-power norm residues and CRT.
+    determinant lambda.
 
     Requires the good-level condition gcd(level, 2 * prod(support)) = 1;
     otherwise LevelObstruction (unit values of the norm form are constrained
-    at shared primes and a single matrix witness need not exist).  The
-    primes of the level come from factor, so they are odd primes already
-    and the per-lambda loop skips the checks of norm_residue_witness.
+    at shared primes and a single matrix witness need not exist).  For each
+    support entry m and each prime power p^e of the level, one table holds
+    norm_residue_witness(m, r, p, e) for every unit r mod p^e: phi(p^e)
+    entries, read for e = 1 off a list of the canonical square roots mod p.
+    Each lambda then combines its table entries with the CRT idempotents of
+    the level, computed once.  Every shadow still passes GaloisShadow's
+    validation.
     """
     support = tuple(support)
     if not is_good_level(level, support):
         raise LevelObstruction(level, support)
+    # per support entry, per prime power p^e: p^e, its CRT idempotent (1 mod
+    # p^e, 0 mod the rest of the level) and the (xs, ys) table of m mod p^e
+    rows = [[] for _ in support]
+    for p, e in factor(level).factors:
+        pe = p**e
+        cofactor = level // pe
+        idem = cofactor * pow(cofactor, -1, pe)
+        # one roots list per prime: the support's tables share its ints
+        roots = _canonical_roots(p) if e == 1 else None
+        for m, row in zip(support, rows):
+            row.append((pe, idem, *_norm_residue_table(m, p, e, roots)))
     out = {}
     units = units_mod(level) if level > 1 else [1]  # level 1 keeps its key 1, not 0
-    prime_powers = [(p, e, p**e) for p, e in factor(level).factors]
     for lam in units:
         comps = []
-        for m in support:
-            residues_x = []
-            residues_y = []
-            for p, e, pe in prime_powers:
-                x, y = _norm_residue(m, lam % pe, p, e)
-                residues_x.append((x, pe))
-                residues_y.append((y, pe))
-            x = crt(residues_x)[0]
-            y = crt(residues_y)[0]
+        for m, row in zip(support, rows):
+            x = y = 0
+            for pe, idem, xs, ys in row:
+                r = lam % pe
+                x += xs[r] * idem
+                y += ys[r] * idem
             comps.append(shape_matrix_mod(x, y, m, 1, level))
         out[lam] = GaloisShadow(support, tuple(comps), 1, lam, level)
     return out

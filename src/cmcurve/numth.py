@@ -315,8 +315,7 @@ def crt(pairs) -> tuple[int, int]:
         g = gcd(n, m)
         if g != 1:
             raise ValueError("moduli must be coprime")
-        # the first step is r % m: a shortcut on surjective_common_det's per-unit path
-        x = (x * m * pow(m, -1, n) + r * n * pow(n, -1, m)) % (n * m) if n > 1 else r % m
+        x = (x * m * pow(m, -1, n) + r * n * pow(n, -1, m)) % (n * m)
         n *= m
     return x, n
 

@@ -302,3 +302,26 @@ def noninvertible_primes_per_entry(r, n: int) -> set:
         elif det.numerator % p == 0 or det.denominator % p == 0:
             out.add(p)
     return out
+
+
+def surjective_common_det_per_lambda(support, level: int) -> dict:
+    """surjective_common_det one unit at a time: for each lambda and each
+    support entry, the checked norm_residue_witness at every prime power of
+    the level, combined by crt.  The oracle for the table-driven version,
+    which shares neither its tables nor its CRT idempotents."""
+    from cmcurve.adele import shape_matrix_mod
+    from cmcurve.galois import GaloisShadow, norm_residue_witness
+    from cmcurve.numth import crt
+
+    support = tuple(support)
+    prime_powers = [(p, e, p**e) for p, e in trial_division(level)]
+    out = {}
+    for lam in [x for x in range(1, level) if gcd(x, level) == 1] or [1]:
+        comps = []
+        for m in support:
+            wits = [(norm_residue_witness(m, lam % pe, p, e), pe) for p, e, pe in prime_powers]
+            x = crt([(xy[0], pe) for xy, pe in wits])[0]
+            y = crt([(xy[1], pe) for xy, pe in wits])[0]
+            comps.append(shape_matrix_mod(x, y, m, 1, level))
+        out[lam] = GaloisShadow(support, tuple(comps), 1, lam, level)
+    return out

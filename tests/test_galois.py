@@ -2,14 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmcurve.adele import ShapeKind, shape_matrix_mod, shape_test
 from cmcurve.errors import LevelObstruction, NormObstruction, UnsupportedOrbit
 from cmcurve.galois import (
     GaloisShadow,
+    _canonical_roots,
+    _norm_residue,
+    _norm_residue_table,
     branch_map,
     component_action,
     equalize_dets,
@@ -27,7 +32,7 @@ from cmcurve.galois import (
 )
 from cmcurve.matrices import ModMat, diag_mod, identity_mod
 from cmcurve.shimura import LevelPoint, QuadPoint, act_unit, component, point_eq
-from oracles import all_shadows, all_shapes
+from oracles import all_shadows, all_shapes, surjective_common_det_per_lambda
 
 
 class TestShadowBasics:
@@ -420,3 +425,58 @@ class TestCommonDetUnchanged:
     def test_residue_witness_rejects_bad_prime_power(self, p, k):
         with pytest.raises(ValueError):
             norm_residue_witness(1, 1, p, k)
+
+
+ODD_PRIMES_BELOW_60 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+ORACLE_SUPPORTS = [s for k in range(1, 6) for s in combinations((1, 2, 3, 5, 7), k)]
+PRIME_POWER_LEVELS = [
+    p**e for p in ODD_PRIMES_BELOW_60 for e in range(1, 8) if p**e <= 3000
+]
+
+
+@st.composite
+def good_support_and_level(draw):
+    support = draw(st.sampled_from(ORACLE_SUPPORTS))
+    bad = 2 * prod(support)
+    level = draw(
+        st.one_of(
+            st.integers(0, 1499).map(lambda k: 2 * k + 1),
+            st.sampled_from(PRIME_POWER_LEVELS),
+        ).filter(lambda n: gcd(n, bad) == 1)
+    )
+    return support, level
+
+
+class TestCommonDetTables:
+    """The per-prime-power tables and CRT idempotents against the per-lambda
+    construction from the checked norm_residue_witness and numth.crt."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(good_support_and_level())
+    def test_matches_per_lambda_oracle(self, case):
+        support, level = case
+        got = surjective_common_det(support, level)
+        want = surjective_common_det_per_lambda(support, level)
+        assert list(got) == list(want)
+        for lam, sigma in got.items():
+            ref = want[lam]
+            assert [c.entries for c in sigma.components] == [c.entries for c in ref.components]
+            assert (sigma.support, sigma.det, sigma.branch, sigma.level) == (
+                ref.support,
+                ref.det,
+                ref.branch,
+                ref.level,
+            )
+
+    def test_table_is_norm_residue_at_every_unit(self):
+        for p in ODD_PRIMES_BELOW_60:
+            for e in (1, 2, 3):
+                pe = p**e
+                roots = _canonical_roots(p) if e == 1 else None
+                for m in (1, 2, 7):
+                    if m % p == 0:
+                        continue
+                    xs, ys = _norm_residue_table(m, p, e, roots)
+                    for r in range(pe):
+                        if r % p:
+                            assert (xs[r], ys[r]) == _norm_residue(m, r, p, e), (m, r, p, e)

@@ -8,6 +8,7 @@ from cmcurve.numth import (
     INF,
     Factorization,
     Residue,
+    crt,
     ext_gcd,
     factor,
     hilbert_places,
@@ -178,6 +179,27 @@ class TestLinearCongruence:
     def test_intersection_with_empty(self):
         assert intersect_progressions(None, (0, 1)) is None
         assert intersect_progressions((0, 1), None) is None
+
+
+class TestCrt:
+    @pytest.mark.parametrize(
+        "moduli", [(3,), (1,), (1, 5), (5, 1), (4, 9), (7, 11, 13), (8, 9, 25)]
+    )
+    def test_round_trip(self, moduli):
+        prod = 1
+        for m in moduli:
+            prod *= m
+        for x in range(prod):
+            assert crt([(x % m, m) for m in moduli]) == (x, prod)
+            assert crt([(x + prod * m, m) for m in moduli]) == (x, prod)
+
+    def test_empty(self):
+        assert crt([]) == (0, 1)
+
+    @pytest.mark.parametrize("moduli", [(4, 6), (3, 5, 9), (7, 7)])
+    def test_rejects_non_coprime_moduli(self, moduli):
+        with pytest.raises(ValueError):
+            crt([(1, m) for m in moduli])
 
 
 class TestUnitsMod:
