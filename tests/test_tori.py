@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -224,3 +226,71 @@ class TestGoursat:
             assert len(sub) == B.order() * len(data.k2)
             assert len(data.table) == A.order() // len(data.k2)
             done += 1
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+class TestLatticeOutputsUnchanged:
+    # SHA-256 prefixes computed with the breadth-first span_subgroup; the
+    # subgroups and Goursat data must not change with the algorithm.
+    GOURSAT = {701: "676e85c745ea7278", 702: "f8c55fdef5b0fc78", 703: "c3cfce27b264f18d"}
+    SPAN = {711: "221b5a567db450c9", 712: "e1f42ba18a4ebe10", 713: "6b2a86a6535b8ecd"}
+
+    @pytest.mark.parametrize("seed", list(GOURSAT))
+    def test_goursat_digest(self, seed):
+        # drawn the way verify.check_goursat_random draws its instances
+        rng = random.Random(seed)
+        shapes = [(2,), (3,), (4,), (6,), (8,), (2, 2), (2, 4), (3, 3), (9,), (2, 2, 2), (12,), (16,), (5,), (2, 8), (4, 4), (64,), (32,)]
+        out = []
+        while len(out) < 40:
+            A = FiniteAbelianGroup(rng.choice(shapes))
+            B = FiniteAbelianGroup(rng.choice(shapes))
+            if A.order() > 64 or B.order() > 64:
+                continue
+            gens = []
+            a_elts, b_elts = A.elements(), B.elements()
+            for a in a_elts:
+                gens.append((a, rng.choice(b_elts)))
+            for b in b_elts:
+                gens.append((rng.choice(a_elts), b))
+            rng.shuffle(gens)
+            gens = gens[: max(3, len(gens) // 2)]
+            try:
+                data = goursat(gens, A, B)
+            except NotSubdirect as exc:
+                out.append([A.moduli, B.moduli, exc.side])
+                continue
+            out.append(
+                [
+                    A.moduli,
+                    B.moduli,
+                    sorted(data.k1),
+                    sorted(data.k2),
+                    [[sorted(ka), sorted(kb)] for ka, kb in data.table],
+                ]
+            )
+        assert _digest(out) == self.GOURSAT[seed]
+
+    @pytest.mark.parametrize("seed", list(SPAN))
+    def test_span_subgroup_digest(self, seed):
+        # not subdirect in general: 0-4 generators with unreduced and
+        # negative entries, moduli equal to 1, and the trivial group ()
+        rng = random.Random(seed)
+        shapes = [(), (1,), (2,), (5,), (1, 3), (4,), (2, 2), (6, 1), (3, 1, 2), (8,), (2, 4), (9,)]
+        out = []
+        for _ in range(150):
+            A = FiniteAbelianGroup(rng.choice(shapes))
+            B = FiniteAbelianGroup(rng.choice(shapes))
+            if not out:  # the trivial group leads every seed
+                A = B = FiniteAbelianGroup(())
+            gens = [
+                (
+                    tuple(rng.randint(-2 * m, 2 * m) for m in A.moduli),
+                    tuple(rng.randint(-2 * m, 2 * m) for m in B.moduli),
+                )
+                for _ in range(rng.randint(0, 4))
+            ]
+            out.append([A.moduli, B.moduli, gens, sorted(span_subgroup(gens, A, B))])
+        assert _digest(out) == self.SPAN[seed]
