@@ -167,11 +167,15 @@ def mul(g1: AdelicMatrix, g2: AdelicMatrix) -> AdelicMatrix:
         return AdelicMatrix(r_new, UnitPart(1, g2.u.s, 1), 1)
     rp_mod = rprime.mod(n)
     conj = rp_mod.inv() * diag_mod(g1.u.delta, n) * rp_mod
-    unit_mod = conj * diag_mod(g2.u.delta, n) * g2.u.s.mod(n)
-    delta_new = unit_mod.det()
-    s_target = diag_mod(delta_new, n).inv() * unit_mod
-    s_new = sl2_lift(s_target)
-    return AdelicMatrix(r_new, UnitPart(delta_new, s_new, n), n)
+    return _normal_form(r_new, conj * diag_mod(g2.u.delta, n) * g2.u.s.mod(n))
+
+
+def _normal_form(r: Mat2, unit: ModMat) -> AdelicMatrix:
+    """r times the level unit `unit`, its unit part written as d_delta * s:
+    delta is the determinant and s a lift of diag(delta)^-1 * unit."""
+    n = unit.n
+    delta = unit.det()
+    return AdelicMatrix(r, UnitPart(delta, sl2_lift(diag_mod(delta, n).inv() * unit), n), n)
 
 
 def _noninvertible_primes(r: Mat2, n: int) -> set:
@@ -192,10 +196,7 @@ def unit_rightmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
         return g
     if not h.is_unit():
         raise ValueError("level matrix must have unit determinant")
-    new_unit = g.u.mod(n) * h
-    delta_new = new_unit.det()
-    s_new = sl2_lift(diag_mod(delta_new, n).inv() * new_unit)
-    return AdelicMatrix(g.r, UnitPart(delta_new, s_new, n), n)
+    return _normal_form(g.r, g.u.mod(n) * h)
 
 
 def unit_leftmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
@@ -214,10 +215,7 @@ def unit_leftmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
     for p in sorted(_noninvertible_primes(g.r, n)):
         raise PrecisionObstruction(p)
     rm = g.r.mod(n)
-    new_unit = rm.inv() * h * rm * g.u.mod(n)
-    delta_new = new_unit.det()
-    s_new = sl2_lift(diag_mod(delta_new, n).inv() * new_unit)
-    return AdelicMatrix(g.r, UnitPart(delta_new, s_new, n), n)
+    return _normal_form(g.r, rm.inv() * h * rm * g.u.mod(n))
 
 
 def rational_leftmul(g: AdelicMatrix, q: Mat2) -> AdelicMatrix:

@@ -17,6 +17,7 @@ from math import gcd, isqrt
 from .matrices import FLIP, IDENTITY, Mat2, translation
 from .numth import (
     INF,
+    crt,
     factor,
     hilbert_symbol,
     is_squarefree,
@@ -187,8 +188,6 @@ def _sqrts_minus_d_mod(d: int, n: int) -> list[int]:
     """All square roots of -d modulo n (n >= 1), via factoring and CRT."""
     if n == 1:
         return [0]
-    from .numth import crt
-
     root_lists = []
     for p, e in factor(n).factors:
         pe = p**e

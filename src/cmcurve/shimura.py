@@ -22,6 +22,7 @@ from .adele import (
     LevelMatrix,
     ShapeKind,
     UnitPart,
+    rational_leftmul,
     reduce_level,
     shape_test,
     unit_rightmul,
@@ -167,8 +168,6 @@ def to_base_frame(point: LevelPoint) -> LevelPoint:
     m, frame = orbit_rep(point.tau)
     if frame == IDENTITY:
         return point
-    from .adele import rational_leftmul
-
     a2 = rational_leftmul(point.a, frame.inv())
     return LevelPoint(QuadPoint(m, 0, 1), a2, point.level)
 
@@ -267,8 +266,6 @@ def act_rational(gamma: Mat2, P: LevelPoint) -> LevelPoint:
     unimodular matrix; the result is always point-equal to the input."""
     if not gamma.is_unimodular():
         raise ValueError("matrix must be integral with determinant +1")
-    from .adele import rational_leftmul
-
     tau2 = P.tau.apply_mobius(gamma)
     return LevelPoint(tau2, rational_leftmul(P.a, gamma), P.level)
 

@@ -20,6 +20,27 @@ from .numth import factor, is_squarefree
 # -- exact integer linear algebra ------------------------------------------------
 
 
+def _eliminate(cols, row):
+    """Column Euclid at one row: unimodular operations on the given columns
+    until at most one is nonzero at that row.  Returns that column, made
+    positive there (None if there is none), and the columns zero there."""
+    nonzero = [c for c in cols if c[row] != 0]
+    zero = [c for c in cols if c[row] == 0]
+    while len(nonzero) > 1:
+        nonzero.sort(key=lambda c: abs(c[row]))
+        p = nonzero[0]
+        for c in nonzero[1:]:
+            q = c[row] // p[row]
+            if q:
+                c[:] = [x - q * y for x, y in zip(c, p)]
+        zero.extend(c for c in nonzero[1:] if c[row] == 0)
+        nonzero = [p] + [c for c in nonzero[1:] if c[row] != 0]
+    p = nonzero[0] if nonzero else None
+    if p and p[row] < 0:
+        p[:] = [-x for x in p]
+    return p, zero
+
+
 def hnf_columns(vectors, n):
     """Column-style Hermite normal form of the lattice spanned by the given
     vectors in Z^n: the canonical basis as a tuple of columns with strictly
@@ -28,35 +49,15 @@ def hnf_columns(vectors, n):
     cols = [list(v) for v in vectors if any(v)]
     basis = []
     for row in range(n):
-        nonzero = [c for c in cols if c[row] != 0]
-        zero = [c for c in cols if c[row] == 0]
-        if not nonzero:
-            cols = zero
-            continue
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda c: abs(c[row]))
-            p = nonzero[0]
-            for c in nonzero[1:]:
-                q = c[row] // p[row]
-                if q:
-                    for i in range(n):
-                        c[i] -= q * p[i]
-            zero.extend(c for c in nonzero[1:] if c[row] == 0)
-            nonzero = [p] + [c for c in nonzero[1:] if c[row] != 0]
-        p = nonzero[0]
-        if p[row] < 0:
-            p[:] = [-x for x in p]
-        basis.append((row, p))
-        cols = zero
+        p, cols = _eliminate(cols, row)
+        if p is not None:
+            basis.append((row, p))
     # reduce entries of earlier columns at later pivot rows
-    for idx in range(1, len(basis)):
-        prow, p = basis[idx]
-        for jdx in range(idx):
-            c = basis[jdx][1]
+    for idx, (prow, p) in enumerate(basis):
+        for _, c in basis[:idx]:
             q = c[prow] // p[prow]
             if q:
-                for i in range(n):
-                    c[i] -= q * p[i]
+                c[:] = [x - q * y for x, y in zip(c, p)]
     return tuple(tuple(p) for _, p in basis)
 
 
@@ -69,19 +70,7 @@ def kernel_basis(rows, n):
         for j in range(n)
     ]
     for row in range(m):
-        nonzero = [c for c in cols if c[row] != 0]
-        zero = [c for c in cols if c[row] == 0]
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda c: abs(c[row]))
-            p = nonzero[0]
-            for c in nonzero[1:]:
-                q = c[row] // p[row]
-                if q:
-                    for i in range(m + n):
-                        c[i] -= q * p[i]
-            zero.extend(c for c in nonzero[1:] if c[row] == 0)
-            nonzero = [p] + [c for c in nonzero[1:] if c[row] != 0]
-        cols = zero  # the pivot column is not in the kernel; drop it
+        _, cols = _eliminate(cols, row)  # the pivot column is not in the kernel; drop it
     return tuple(tuple(c[m:]) for c in cols)
 
 
@@ -278,21 +267,24 @@ class GoursatData:
 
 
 def span_subgroup(generators, group_a: FiniteAbelianGroup, group_b: FiniteAbelianGroup):
-    """Closure of generators inside A x B."""
-    zero = (group_a.zero(), group_b.zero())
-    seen = {zero}
-    frontier = [zero]
-    gens = [(tuple(a), tuple(b)) for a, b in generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = (group_a.add(x[0], g[0]), group_b.add(x[1], g[1]))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+    """The subgroup of A x B generated by the given pairs, as reduced pairs.
+
+    The flattened generators and m_j e_j for each modulus m_j span a
+    full-rank lattice in Z^n.  Column j of its Hermite normal form has its
+    pivot d_j at row j, and d_j divides m_j, so the subgroup is the set of
+    sums of c_j times column j, reduced, over 0 <= c_j < m_j / d_j."""
+    moduli = group_a.moduli + group_b.moduli
+    n, k = len(moduli), len(group_a.moduli)
+    vectors = [tuple(a) + tuple(b) for a, b in generators]
+    vectors += [tuple(m * (i == j) for i in range(n)) for j, m in enumerate(moduli)]
+    elements = [(0,) * n]
+    for j, col in enumerate(hnf_columns(vectors, n)):
+        elements = [
+            tuple((x + c * y) % m for x, y, m in zip(e, col, moduli))
+            for e in elements
+            for c in range(moduli[j] // col[j])
+        ]
+    return {(e[:k], e[k:]) for e in elements}
 
 
 def goursat(
@@ -310,8 +302,9 @@ def goursat(
         raise NotSubdirect("A")
     if len({x[1] for x in sub}) != group_b.order():
         raise NotSubdirect("B")
-    k1 = frozenset(b for a, b in sub if a == group_a.zero())
-    k2 = frozenset(a for a, b in sub if b == group_b.zero())
+    zero_a, zero_b = group_a.zero(), group_b.zero()
+    k1 = frozenset(b for a, b in sub if a == zero_a)
+    k2 = frozenset(a for a, b in sub if b == zero_b)
     a_coset = {a: frozenset(group_a.add(a, k) for k in k2) for a in group_a.elements()}
     b_coset = {b: frozenset(group_b.add(b, k) for k in k1) for b in group_b.elements()}
     graph = {}
@@ -322,12 +315,11 @@ def goursat(
         graph[ka] = kb
     if len(set(graph.values())) != len(graph):
         raise ArithmeticError("graph is not injective")
-    reps = {ka: min(ka) for ka in graph}
-    for ka, a in reps.items():
-        for kb, b in reps.items():
+    # one representative of each A-coset and of its image, taken once
+    reps = {ka: (min(ka), min(kb)) for ka, kb in graph.items()}
+    for a, img_a in reps.values():
+        for b, img_b in reps.values():
             lhs = graph[a_coset[group_a.add(a, b)]]
-            img_a = min(graph[ka])
-            img_b = min(graph[kb])
             rhs = b_coset[group_b.add(img_a, img_b)]
             if lhs != rhs:
                 raise ArithmeticError("graph is not a homomorphism")

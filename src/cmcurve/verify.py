@@ -361,8 +361,32 @@ def check_cornacchia_exhaustive(cfg):
     return {"pairs": checked}
 
 
+def cornacchia_exhaustive(m: int, k: int):
+    """First solution of x^2 + m y^2 = k scanning y upward, or None."""
+    y = 0
+    while m * y * y <= k:
+        rem = k - m * y * y
+        x = isqrt(rem)
+        if x * x == rem:
+            return (x, y)
+        y += 1
+    return None
+
+
+def rational_norm_search(m: int, k: Fraction, cmax: int = 12):
+    """Search s = x/c, t = y/c with c <= cmax solving s^2 + m t^2 = k."""
+    k = Fraction(k)
+    for c in range(1, cmax + 1):
+        target = k * c * c
+        if target.denominator != 1:
+            continue
+        sol = cornacchia_exhaustive(m, int(target))
+        if sol:
+            return (Fraction(sol[0], c), Fraction(sol[1], c))
+    return None
+
+
 def check_rational_solver(cfg):
-    rng = cfg.rng(6)
     ms = [1, 2, 3, 5, 6, 7, 10, 13, 15]
     instances = none_count = 0
     for m in ms:
@@ -371,22 +395,7 @@ def check_rational_solver(cfg):
                 k = Fraction(u, w)
                 sol = qforms.solve_form_rational(m, k)
                 # independent oracle: denominator search c <= 12
-                oracle = None
-                for c in range(1, 13):
-                    target = k * c * c
-                    if target.denominator != 1:
-                        continue
-                    y = 0
-                    t = int(target)
-                    while m * y * y <= t:
-                        rem = t - m * y * y
-                        x = isqrt(rem)
-                        if x * x == rem:
-                            oracle = (Fraction(x, c), Fraction(y, c))
-                            break
-                        y += 1
-                    if oracle:
-                        break
+                oracle = rational_norm_search(m, k)
                 if oracle is not None and sol is None:
                     raise CheckFailure({"m": m, "k": str(k), "oracle": str(oracle)})
                 if sol is not None:
@@ -849,6 +858,16 @@ def check_stable_saturated_coordinate(cfg):
     return {"probes": done}
 
 
+def subset_product_square_test(ms) -> bool:
+    """Independence oracle: no nonempty subset of {-m} has square product."""
+    for r in range(1, len(ms) + 1):
+        for combo in combinations(ms, r):
+            value = prod(-m for m in combo)
+            if value > 0 and isqrt(value) ** 2 == value:
+                return False
+    return True
+
+
 def check_independence(cfg):
     if not tori.independent([1, 2, 3]) or tori.independent([1, 2, 3, 6]):
         raise CheckFailure({"anchors": False})
@@ -856,15 +875,7 @@ def check_independence(cfg):
     checked = 0
     for r in range(1, 5):
         for subset in combinations(universe, r):
-            prod_is_square = False
-            for rr in range(1, len(subset) + 1):
-                for combo in combinations(subset, rr):
-                    prod = 1
-                    for m in combo:
-                        prod *= -m
-                    if prod > 0 and isqrt(prod) ** 2 == prod:
-                        prod_is_square = True
-            if tori.independent(subset) != (not prod_is_square):
+            if tori.independent(subset) != subset_product_square_test(subset):
                 raise CheckFailure({"subset": subset})
             checked += 1
     return {"subsets": checked}

@@ -3,8 +3,9 @@
 Each oracle is written independently of the implementation path it checks:
 exhaustive enumeration, trial division, or direct searches.  Expected values
 frozen into the tests were computed with these.  The Hilbert-symbol search,
-BFS form reduction and shape/shadow enumeration are the ones the shipped
-verify suite runs, imported from cmcurve.verify.
+BFS form reduction, shape/shadow enumeration, the Cornacchia and rational
+norm searches and the subset-product independence test are the ones the
+shipped verify suite runs, imported from cmcurve.verify.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from math import gcd, isqrt
 from cmcurve.verify import (  # noqa: F401  (re-exported to the tests)
     all_shadows,
     all_shapes,
+    cornacchia_exhaustive,
     hilbert_via_search,
+    rational_norm_search,
     reduce_form_bfs,
+    subset_product_square_test,
 )
 
 
@@ -89,45 +93,6 @@ def reduced_forms_exhaustive(disc: int):
             if abs(B) <= A <= C:
                 out.append((A, B, C))
     return sorted(out)
-
-
-def cornacchia_exhaustive(m: int, k: int):
-    """First solution of x^2 + m y^2 = k scanning y upward, or None."""
-    y = 0
-    while m * y * y <= k:
-        rem = k - m * y * y
-        x = isqrt(rem)
-        if x * x == rem:
-            return (x, y)
-        y += 1
-    return None
-
-
-def rational_norm_search(m: int, k: Fraction, cmax: int = 12):
-    """Search s = x/c, t = y/c with c <= cmax solving s^2 + m t^2 = k."""
-    k = Fraction(k)
-    for c in range(1, cmax + 1):
-        target = k * c * c
-        if target.denominator != 1:
-            continue
-        sol = cornacchia_exhaustive(m, int(target))
-        if sol:
-            return (Fraction(sol[0], c), Fraction(sol[1], c))
-    return None
-
-
-def subset_product_square_test(ms) -> bool:
-    """Independence oracle: no nonempty subset of {-m} has square product."""
-    from itertools import combinations
-
-    for r in range(1, len(ms) + 1):
-        for combo in combinations(ms, r):
-            prod = 1
-            for m in combo:
-                prod *= -m
-            if prod > 0 and isqrt(prod) ** 2 == prod:
-                return False
-    return True
 
 
 def pair_witnesses_scan(s, t):
@@ -325,3 +290,24 @@ def surjective_common_det_per_lambda(support, level: int) -> dict:
             comps.append(shape_matrix_mod(x, y, m, 1, level))
         out[lam] = GaloisShadow(support, tuple(comps), 1, lam, level)
     return out
+
+
+def span_subgroup_bfs(generators, group_a, group_b):
+    """Closure of generators inside A x B by breadth-first search: every
+    element reached is added to every generator until nothing new appears.
+    The oracle for tori.span_subgroup, which reads the subgroup off a
+    Hermite normal form."""
+    zero = (group_a.zero(), group_b.zero())
+    seen = {zero}
+    frontier = [zero]
+    gens = [(tuple(a), tuple(b)) for a, b in generators]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = (group_a.add(x[0], g[0]), group_b.add(x[1], g[1]))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen

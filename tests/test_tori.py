@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmcurve.errors import NotSubdirect
 from cmcurve.tori import (
@@ -18,7 +19,7 @@ from cmcurve.tori import (
     span_subgroup,
     stable_saturation,
 )
-from oracles import subset_product_square_test
+from oracles import span_subgroup_bfs, subset_product_square_test
 
 
 class TestLatticeAlgebra:
@@ -294,3 +295,35 @@ class TestLatticeOutputsUnchanged:
             ]
             out.append([A.moduli, B.moduli, gens, sorted(span_subgroup(gens, A, B))])
         assert _digest(out) == self.SPAN[seed]
+
+
+@st.composite
+def span_inputs(draw):
+    """Two small groups (moduli may be 1, a factor may be trivial) and up to
+    four generators with unreduced and negative entries."""
+    moduli = st.lists(st.integers(1, 8), max_size=3)
+    A = FiniteAbelianGroup(tuple(draw(moduli)))
+    B = FiniteAbelianGroup(tuple(draw(moduli)))
+
+    def entries(group):
+        return st.tuples(*(st.integers(-3 * m, 3 * m) for m in group.moduli))
+
+    gens = draw(st.lists(st.tuples(entries(A), entries(B)), max_size=4))
+    return gens, A, B
+
+
+class TestSpanSubgroup:
+    @settings(max_examples=300, deadline=None)
+    @given(span_inputs())
+    def test_matches_bfs(self, case):
+        gens, A, B = case
+        assert span_subgroup(gens, A, B) == span_subgroup_bfs(gens, A, B)
+
+    def test_trivial_group(self):
+        G = FiniteAbelianGroup(())
+        assert span_subgroup([], G, G) == {((), ())}
+        assert span_subgroup([((), ())], G, G) == {((), ())}
+
+    def test_no_generators(self):
+        A, B = FiniteAbelianGroup((4, 1)), FiniteAbelianGroup((3,))
+        assert span_subgroup([], A, B) == {((0, 0), (0,))}
