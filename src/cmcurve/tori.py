@@ -315,10 +315,9 @@ def goursat(
         graph[ka] = kb
     if len(set(graph.values())) != len(graph):
         raise ArithmeticError("graph is not injective")
-    # one representative of each A-coset and of its image, taken once
-    reps = {ka: (min(ka), min(kb)) for ka, kb in graph.items()}
-    for a, img_a in reps.values():
-        for b, img_b in reps.values():
+    reps = [(min(ka), min(kb)) for ka, kb in graph.items()]
+    for a, img_a in reps:
+        for b, img_b in reps:
             lhs = graph[a_coset[group_a.add(a, b)]]
             rhs = b_coset[group_b.add(img_a, img_b)]
             if lhs != rhs:

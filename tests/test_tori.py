@@ -318,12 +318,3 @@ class TestSpanSubgroup:
     def test_matches_bfs(self, case):
         gens, A, B = case
         assert span_subgroup(gens, A, B) == span_subgroup_bfs(gens, A, B)
-
-    def test_trivial_group(self):
-        G = FiniteAbelianGroup(())
-        assert span_subgroup([], G, G) == {((), ())}
-        assert span_subgroup([((), ())], G, G) == {((), ())}
-
-    def test_no_generators(self):
-        A, B = FiniteAbelianGroup((4, 1)), FiniteAbelianGroup((3,))
-        assert span_subgroup([], A, B) == {((0, 0), (0,))}
