@@ -311,3 +311,40 @@ def span_subgroup_bfs(generators, group_a, group_b):
                     nxt.append(y)
         frontier = nxt
     return seen
+
+
+def goursat_elementwise(generators, group_a, group_b):
+    """Goursat decomposition with coset tables built element by element:
+    every element of A is added to every element of K2 (and B to K1), so
+    each coset is rebuilt once per member.  The oracle for tori.goursat,
+    which builds each coset once."""
+    from cmcurve.errors import NotSubdirect
+    from cmcurve.tori import GoursatData, span_subgroup
+
+    sub = span_subgroup(generators, group_a, group_b)
+    if len({x[0] for x in sub}) != group_a.order():
+        raise NotSubdirect("A")
+    if len({x[1] for x in sub}) != group_b.order():
+        raise NotSubdirect("B")
+    zero_a, zero_b = group_a.zero(), group_b.zero()
+    k1 = frozenset(b for a, b in sub if a == zero_a)
+    k2 = frozenset(a for a, b in sub if b == zero_b)
+    a_coset = {a: frozenset(group_a.add(a, k) for k in k2) for a in group_a.elements()}
+    b_coset = {b: frozenset(group_b.add(b, k) for k in k1) for b in group_b.elements()}
+    graph = {}
+    for a, b in sub:
+        ka, kb = a_coset[a], b_coset[b]
+        if ka in graph and graph[ka] != kb:
+            raise ArithmeticError("graph is not well defined")
+        graph[ka] = kb
+    if len(set(graph.values())) != len(graph):
+        raise ArithmeticError("graph is not injective")
+    reps = [(min(ka), min(kb)) for ka, kb in graph.items()]
+    for a, img_a in reps:
+        for b, img_b in reps:
+            lhs = graph[a_coset[group_a.add(a, b)]]
+            rhs = b_coset[group_b.add(img_a, img_b)]
+            if lhs != rhs:
+                raise ArithmeticError("graph is not a homomorphism")
+    table = tuple(sorted(graph.items(), key=lambda t: sorted(t[0])))
+    return GoursatData(k1, k2, table)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmcurve import tori
 from cmcurve.errors import NotSubdirect
 from cmcurve.tori import (
     FiniteAbelianGroup,
@@ -19,7 +20,7 @@ from cmcurve.tori import (
     span_subgroup,
     stable_saturation,
 )
-from oracles import span_subgroup_bfs, subset_product_square_test
+from oracles import goursat_elementwise, span_subgroup_bfs, subset_product_square_test
 
 
 class TestLatticeAlgebra:
@@ -178,7 +179,6 @@ class TestGoursat:
     def test_diagonal_z2(self):
         A = B = FiniteAbelianGroup((2,))
         data = goursat([((1,), (1,))], A, B)
-        assert data.k1 == frozenset() | {()} - {()} or len(data.k1) == 1
         assert data.k1 == frozenset({(0,)})
         assert data.k2 == frozenset({(0,)})
         assert len(data.table) == 2
@@ -227,6 +227,24 @@ class TestGoursat:
             assert len(sub) == B.order() * len(data.k2)
             assert len(data.table) == A.order() // len(data.k2)
             done += 1
+
+    # each planted relation projects onto both factors but is no subgroup
+    # graph, so only the named check can reject it
+    @pytest.mark.parametrize(
+        "moduli, planted, message",
+        [
+            ((4,), [(0, 0), (1, 1), (2, 2), (3, 3), (1, 3)], "not well defined"),
+            ((2,), [(0, 0), (1, 1), (0, 1)], "not injective"),
+            ((4,), [(0, 0), (1, 2), (2, 1), (3, 3)], "not a homomorphism"),
+        ],
+        ids=["well_defined", "injective", "homomorphism"],
+    )
+    def test_planted_relation_fails_its_check(self, monkeypatch, moduli, planted, message):
+        group = FiniteAbelianGroup(moduli)
+        sub = {((a,), (b,)) for a, b in planted}
+        monkeypatch.setattr(tori, "span_subgroup", lambda generators, group_a, group_b: sub)
+        with pytest.raises(ArithmeticError, match=message):
+            goursat([], group, group)
 
 
 def _digest(obj) -> str:
@@ -318,3 +336,34 @@ class TestSpanSubgroup:
     def test_matches_bfs(self, case):
         gens, A, B = case
         assert span_subgroup(gens, A, B) == span_subgroup_bfs(gens, A, B)
+
+
+@st.composite
+def goursat_inputs(draw):
+    """Drawn as test_random_subdirect_products draws its instances: every
+    element of each factor paired with a random element of the other,
+    shuffled, and the first half (at least three) kept."""
+    shapes = st.sampled_from([(2,), (4,), (2, 2), (3,), (6,), (8,), (2, 4), (3, 3)])
+    A = FiniteAbelianGroup(draw(shapes))
+    B = FiniteAbelianGroup(draw(shapes))
+    a_elts, b_elts = A.elements(), B.elements()
+    gens = [(a, draw(st.sampled_from(b_elts))) for a in a_elts]
+    gens += [(draw(st.sampled_from(a_elts)), b) for b in b_elts]
+    gens = draw(st.permutations(gens))
+    return gens[: max(3, len(gens) // 2)], A, B
+
+
+class TestGoursatOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(goursat_inputs())
+    def test_matches_elementwise(self, case):
+        gens, A, B = case
+        try:
+            expected = goursat_elementwise(gens, A, B)
+        except NotSubdirect as exc:
+            with pytest.raises(NotSubdirect) as got:
+                goursat(gens, A, B)
+            assert got.value.side == exc.side
+            return
+        data = goursat(gens, A, B)
+        assert (data.k1, data.k2, data.table) == (expected.k1, expected.k2, expected.table)
