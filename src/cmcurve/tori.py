@@ -287,6 +287,17 @@ def span_subgroup(generators, group_a: FiniteAbelianGroup, group_b: FiniteAbelia
     return {(e[:k], e[k:]) for e in elements}
 
 
+def _coset_map(group: FiniteAbelianGroup, kernel) -> dict:
+    """Every element of the group mapped to its coset of the kernel subgroup,
+    each coset built once and shared by its members."""
+    cosets = {}
+    for x in group.elements():
+        if x not in cosets:
+            c = frozenset(group.add(x, k) for k in kernel)
+            cosets.update(dict.fromkeys(c, c))
+    return cosets
+
+
 def goursat(
     generators, group_a: FiniteAbelianGroup, group_b: FiniteAbelianGroup
 ) -> GoursatData:
@@ -305,8 +316,7 @@ def goursat(
     zero_a, zero_b = group_a.zero(), group_b.zero()
     k1 = frozenset(b for a, b in sub if a == zero_a)
     k2 = frozenset(a for a, b in sub if b == zero_b)
-    a_coset = {a: frozenset(group_a.add(a, k) for k in k2) for a in group_a.elements()}
-    b_coset = {b: frozenset(group_b.add(b, k) for k in k1) for b in group_b.elements()}
+    a_coset, b_coset = _coset_map(group_a, k2), _coset_map(group_b, k1)
     graph = {}
     for a, b in sub:
         ka, kb = a_coset[a], b_coset[b]
