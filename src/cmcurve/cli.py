@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 check failure, 2 malformed input, 3 obstruction.
 Each request is checked by a JSON Schema 2020-12 validator built from its
 schema in cmcurve.serialize.SCHEMAS; the schemas themselves are constants,
-meta-checked by the test suite rather than on every request.
+meta-checked by the test suite rather than on every request.  Every level,
+and the `project` target of `act`, is an integer from 1 to 2**64: a
+point's level is factored in full, so a larger level is rejected (exit 2)
+instead of being factored for an unbounded time.
 """
 
 from __future__ import annotations

@@ -210,6 +210,23 @@ class TestTotalCli:
         assert proc.returncode == 3, proc.stderr
         assert "prime 5" in proc.stderr
 
+    def test_level_above_bound_exit_two(self):
+        # a 150-bit semiprime level: factoring it ran past 20 s before
+        # levels were capped at 2^64
+        level = (2**61 - 1) * (2**89 - 1)
+        payload = {"p1": pt(1, [0, 1], [1, 1], level), "p2": pt(1, [1, 1], [1, 1], level)}
+        proc = self.run_timed(["point-eq"], payload)
+        assert proc.returncode == 2, proc.stderr
+        assert f"{level} is greater than the maximum of {2**64}" in proc.stderr
+
+    # the cap itself, and a semiprime of two 32-bit primes below it
+    @pytest.mark.parametrize("level", [2**64, 4294967291 * 4294967279])
+    def test_level_at_bound_answers(self, level):
+        payload = {"p1": pt(1, [0, 1], [1, 1], level), "p2": pt(1, [0, 1], [1, 1], level)}
+        proc = self.run_timed(["point-eq"], payload)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["equal"] is True
+
 
 # -- schema accept/reject table --------------------------------------------------
 
@@ -269,6 +286,8 @@ POINT_MUTATIONS = [
     (("a", "s"), [1, 0, 0]),
     (("level",), 0),
     (("a", "level"), 0),
+    (("level",), 2**64 + 1),
+    (("a", "level"), 2**64 + 1),
     (("tau", "m"), 0),
     (("a", "delta"), 1.5),
     (("tau", "q", 0), "1"),
@@ -303,9 +322,11 @@ REQUEST_MUTATIONS = {
         (("shadow", "extra"), 1),
         (("shadow", "branch"), 2),
         (("shadow", "level"), 0),
+        (("shadow", "level"), 2**64 + 1),
         (("shadow", "support", 0), 0),
         (("shadow", "det"), 1.5),
         (("project",), 0),
+        (("project",), 2**64 + 1),
         (("unit", 0), "2"),
         (("canonicalize",), "yes"),
     ],
