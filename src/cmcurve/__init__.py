@@ -58,6 +58,7 @@ from .errors import (
     LevelObstruction,
     NormObstruction,
     NotSubdirect,
+    Obstruction,
     PrecisionObstruction,
     RViolation,
     UnsupportedOrbit,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .adele import conj_by_dlambda, shape_branch, unit_rightmul
+from .adele import conj_by_dlambda, unit_rightmul
 from .errors import RViolation
 from .galois import GaloisShadow, identity_shadow, shadow_act, shadow_eq
 from .matrices import ModMat, diag_mod
@@ -157,30 +157,27 @@ def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
     right = ua.inv() * ra.inv()
     for M in rigid_witnesses(A, B):
         left = ra * M.inv().mod(n) * ub
-        for nu in _shape_twists(left, right, m):
-            r = left * diag_mod(nu, n) * right
-            branch = shape_branch(r, m)
-            if branch is not None:
-                out.setdefault((r.det(), branch), set()).add(r)
+        for r, branch in _shape_twists(left, right, m).items():
+            out.setdefault((r.det(), branch), set()).add(r)
     return tuple((k, frozenset(v)) for k, v in out.items())
 
 
-def _shape_twists(left: ModMat, right: ModMat, m: int) -> set:
-    """The units nu mod N for which left * diag(nu, 1) * right is a
-    normalizer shape for sqrt(-m) of either branch.
+def _shape_twists(left: ModMat, right: ModMat, m: int) -> dict:
+    """{r: branch} for the normalizer shapes r = left * diag(nu, 1) * right
+    for sqrt(-m), nu a unit mod N (left and right are units, so r is one).
 
     The product is nu*P + Q, with P = (column 1 of left)(row 1 of right)
     and Q = (column 2 of left)(row 2 of right), so each branch's two shape
     conditions are linear congruences in nu: the answer is at most two
     progressions mod N, and the work is bounded by their size, not by
-    phi(N).
+    phi(N).  A shape of both branches keeps +1, as shape_branch decides.
     """
     n = left.n
     l11, l12, l21, l22 = left.entries
     r11, r12, r21, r22 = right.entries
     pa, pb, pc, pd = l11 * r11, l11 * r12, l21 * r11, l21 * r12
     qa, qb, qc, qd = l12 * r21, l12 * r22, l22 * r21, l22 * r22
-    out = set()
+    out = {}
     # branch +1: d - a = b + m*c = 0; branch -1: d + a = b - m*c = 0 (mod N)
     for sign in (1, -1):
         prog = intersect_progressions(
@@ -189,7 +186,10 @@ def _shape_twists(left: ModMat, right: ModMat, m: int) -> set:
         )
         if prog is not None:
             start, step = prog
-            out.update(nu for nu in range(start, n, step) if gcd(nu, n) == 1)
+            for nu in range(start, n, step):
+                if gcd(nu, n) == 1:
+                    r = ModMat(nu * pa + qa, nu * pb + qb, nu * pc + qc, nu * pd + qd, n)
+                    out.setdefault(r, sign)
     return out
 
 

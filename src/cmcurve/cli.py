@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 check failure, 2 malformed input, 3 obstruction.
 Each request is checked by a JSON Schema 2020-12 validator built from its
 schema in cmcurve.serialize.SCHEMAS; the schemas themselves are constants,
 meta-checked by the test suite rather than on every request.  Every level,
-and the `project` target of `act`, is an integer from 1 to 2**64: a
-point's level is factored in full, so a larger level is rejected (exit 2)
-instead of being factored for an unbounded time.
+the `project` target of `act`, every `tau.m` and every shadow support entry
+is an integer from 1 to 2**64: each is factored in full, so a larger one is
+rejected (exit 2) instead of being factored for an unbounded time.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ import jsonschema
 
 from . import approx, galois, serialize, shimura, verify
 from .adele import reciprocity_matrix
-from .errors import (
-    CmcurveError,
-    LevelObstruction,
-    NormObstruction,
-    PrecisionObstruction,
-    RViolation,
-    UnsupportedOrbit,
-)
+from .errors import CmcurveError, Obstruction, RViolation
 from .matrices import Mat2, ModMat
 
 EXIT_OK = 0
@@ -294,7 +287,7 @@ def main(argv=None) -> int:
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (PrecisionObstruction, LevelObstruction, NormObstruction, UnsupportedOrbit) as exc:
+    except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTED
     except (ValueError, CmcurveError) as exc:

@@ -2,8 +2,10 @@
 
 Partiality of exact finite-level computations is surfaced through these
 exceptions rather than silent approximation.  Callers that can retry at a
-different level catch PrecisionObstruction; the verify suites report the
-others as "obstructed" rather than "failed".
+different level catch PrecisionObstruction.  Every Obstruction (precision,
+norm, level, unsupported orbit) is a computation that cannot be rendered
+as asked, not a defect: the CLI exits 3 on one and the verify suites report
+it as "obstructed" rather than "failed".
 """
 
 
@@ -11,7 +13,11 @@ class CmcurveError(Exception):
     """Base class for all library-specific errors."""
 
 
-class PrecisionObstruction(CmcurveError):
+class Obstruction(CmcurveError):
+    """Base class for the errors that report an obstruction."""
+
+
+class PrecisionObstruction(Obstruction):
     """An exact computation cannot be rendered at the requested level.
 
     Carries the offending prime; the caller must pick a coprime level or a
@@ -23,7 +29,7 @@ class PrecisionObstruction(CmcurveError):
         super().__init__(message or f"level meets prime {prime} of the exact data")
 
 
-class NormObstruction(CmcurveError):
+class NormObstruction(Obstruction):
     """A rational norm equation is certified unsolvable at a place."""
 
     def __init__(self, place, message=""):
@@ -31,7 +37,7 @@ class NormObstruction(CmcurveError):
         super().__init__(message or f"local obstruction at place {place}")
 
 
-class LevelObstruction(CmcurveError):
+class LevelObstruction(Obstruction):
     """The good-level condition gcd(N, 2*prod(M)) = 1 fails."""
 
     def __init__(self, level, support, message=""):
@@ -42,7 +48,7 @@ class LevelObstruction(CmcurveError):
         )
 
 
-class UnsupportedOrbit(CmcurveError):
+class UnsupportedOrbit(Obstruction):
     """A shadow was asked to act on a point outside its supported orbits."""
 
     def __init__(self, m, message=""):

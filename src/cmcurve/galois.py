@@ -18,14 +18,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .adele import ShapeKind, shape_branch, shape_matrix_mod, shape_test, unit_leftmul
+from .adele import (
+    ShapeKind,
+    shape_branch,
+    shape_matrix,
+    shape_matrix_mod,
+    shape_test,
+    unit_leftmul,
+)
 from .errors import (
     LevelObstruction,
     NormObstruction,
     PrecisionObstruction,
     UnsupportedOrbit,
 )
-from .matrices import Mat2, ModMat, identity_mod
+from .matrices import ModMat, identity_mod
 from .numth import (
     factor,
     is_prime,
@@ -228,7 +235,7 @@ def equalize_dets(entries, hints) -> tuple[GaloisShadow, NormalizationCertificat
         if sol is None:
             raise NormObstruction(norm_obstruction(m, 1 / hint))
         s, t = sol
-        g0 = Mat2(s, m * t, -t, s)
+        g0 = shape_matrix(s, t, m)
         adjusters.append((m, g0, 1 / hint))
         comps.append(mat * g0.mod(n))
     shadow = GaloisShadow(
@@ -279,44 +286,41 @@ def _norm_residue(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
     raise ArithmeticError(f"no norm residue for lam={lam} mod {p}^{k}")  # pragma: no cover
 
 
-def _canonical_roots(p: int) -> list:
-    """roots[a] = sqrt_mod_unchecked(a, p, 1) for every residue a mod the odd
-    prime p: the root min(x, p - x) is the x in [0, (p-1)/2], and the
-    non-squares hold None."""
-    roots = [None] * p
-    for x in range((p + 1) // 2):
-        roots[x * x % p] = x
+def _canonical_roots(p: int, e: int) -> list:
+    """roots[a] = sqrt_mod_unchecked(a, p, e) at every unit a mod p^e, p an
+    odd prime (the x in [0, (p^e - 1)/2] with x^2 = a, or None), and 0, no
+    unit's root, at every non-unit."""
+    pe = p**e
+    roots = [None] * pe
+    for x in range((pe + 1) // 2):
+        roots[x * x % pe] = x
+    roots[::p] = [0] * (pe // p)
     return roots
 
 
 def _norm_residue_table(m: int, p: int, e: int, roots) -> tuple[list, list]:
     """xs, ys with (xs[r], ys[r]) = _norm_residue(m, r, p, e) for every unit r
-    mod p^e (0, 0 at the non-units).
+    mod p^e (0, 0 at the non-units); roots is _canonical_roots(p, e).
 
-    For e = 1, roots is _canonical_roots(p).  The scan runs y0 upward as
-    _norm_residue does, and its first y0 with r - m*y0^2 a square is the
-    answer: when that residue is 0, p - y0 would hit too, so y0 is already
-    the canonical root that _norm_residue's y-side branch lifts.  For e > 1,
-    each unit is one _norm_residue call.
+    The scan runs y0 upward as _norm_residue does, to the first y0 with
+    r - m*y0^2 a square mod p; a unit is a square mod p exactly when it is
+    one mod p^e.  At the root 0, y is the canonical root of r/m (y0 itself
+    at e = 1, since p - y0 would hit too).
     """
     pe = p**e
     xs = [0] * pe
     ys = [0] * pe
-    if e > 1:
-        for r in range(1, pe):
-            if r % p:
-                xs[r], ys[r] = _norm_residue(m, r, p, e)
-        return xs, ys
-    m %= p
-    for r in range(1, p):
+    m %= pe
+    m_inv = pow(m, -1, pe)
+    for r in range(1, pe):  # a non-unit r stops at y0 = 0 with (0, 0)
         for y0 in range(p):
-            x0 = roots[(r - m * y0 * y0) % p]
+            x0 = roots[(r - m * y0 * y0) % pe]
             if x0 is not None:
                 xs[r] = x0
-                ys[r] = y0
+                ys[r] = y0 if x0 else roots[r * m_inv % pe]
                 break
         else:  # pragma: no cover - the conic has p - chi(-m) points
-            raise ArithmeticError(f"no norm residue for lam={r} mod {p}")
+            raise ArithmeticError(f"no norm residue for lam={r} mod {p}^{e}")
     return xs, ys
 
 
@@ -329,7 +333,7 @@ def surjective_common_det(support, level: int) -> dict:
     at shared primes and a single matrix witness need not exist).  For each
     support entry m and each prime power p^e of the level, one table holds
     norm_residue_witness(m, r, p, e) for every unit r mod p^e: phi(p^e)
-    entries, read for e = 1 off a list of the canonical square roots mod p.
+    entries, read off one list of the canonical square roots mod p^e.
     Each lambda then combines its table entries with the CRT idempotents of
     the level, computed once.  Every shadow still passes GaloisShadow's
     validation.
@@ -344,8 +348,8 @@ def surjective_common_det(support, level: int) -> dict:
         pe = p**e
         cofactor = level // pe
         idem = cofactor * pow(cofactor, -1, pe)
-        # one roots list per prime: the support's tables share its ints
-        roots = _canonical_roots(p) if e == 1 else None
+        # one roots list per prime power: the support's tables share its ints
+        roots = _canonical_roots(p, e)
         for m, row in zip(support, rows):
             row.append((pe, idem, *_norm_residue_table(m, p, e, roots)))
     out = {}

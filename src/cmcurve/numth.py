@@ -372,9 +372,8 @@ def intersect_progressions(p1, p2):
 
 
 def units_mod(n: int, limit: int | None = None) -> list:
-    """The units of Z/n as residues in [0, n), increasing ([0] for n = 1);
-    only the first `limit` of them when a limit is given."""
-    if n == 1:  # 0 is the one unit of Z/1, which range(1, n) would miss
-        return [0]
-    units = (x for x in range(1, n) if gcd(x, n) == 1)
+    """The units of Z/n as residues in [0, n), increasing ([0] for n = 1,
+    the one n with gcd(0, n) = 1); only the first `limit` of them when a
+    limit is given."""
+    units = (x for x in range(n) if gcd(x, n) == 1)
     return list(units if limit is None else islice(units, limit))

@@ -21,7 +21,7 @@ from .numth import (
     factor,
     hilbert_symbol,
     is_squarefree,
-    sqrt_mod,
+    sqrt_mod_unchecked,
     squarefree_part,
 )
 
@@ -185,7 +185,9 @@ def class_number(disc: int) -> int:
 
 
 def _sqrts_minus_d_mod(d: int, n: int) -> list[int]:
-    """All square roots of -d modulo n (n >= 1), via factoring and CRT."""
+    """All square roots of -d modulo n (n >= 1, d square-free), via
+    factoring and CRT.  The roots mod 2^e are lifted one bit at a time,
+    each root mod 2^k having at most the two lifts x and x + 2^k."""
     if n == 1:
         return [0]
     root_lists = []
@@ -193,12 +195,14 @@ def _sqrts_minus_d_mod(d: int, n: int) -> list[int]:
         pe = p**e
         target = (-d) % pe
         if p == 2:
-            roots = sorted({x % pe for x in range(pe) if x * x % pe == target})
+            roots = [0]
+            for k in range(e):
+                roots = [
+                    y for x in roots for y in (x, x + 2**k) if (y * y - target) % 2 ** (k + 1) == 0
+                ]
         else:
-            r = sqrt_mod(target, p, e)
-            if r is None:
-                return []
-            roots = sorted({r.value, (-r.value) % pe})
+            r = sqrt_mod_unchecked(target, p, e)
+            roots = [] if r is None else sorted({r, -r % pe})
         if not roots:
             return []
         root_lists.append([(r, pe) for r in roots])

@@ -135,22 +135,23 @@ def _object(required: dict, optional: dict | None = None) -> dict:
 
 _INT = {"type": "integer"}
 _POSITIVE = {"type": "integer", "minimum": 1}
-# every level is fully factored when a point is built, so levels are capped
-# well above any level the suites or the benchmark use
-_LEVEL = {"type": "integer", "minimum": 1, "maximum": 2**64}
+# every level, orbit m and support entry is fully factored when a point or
+# shadow is built, so each is capped well above any the suites or the
+# benchmark use
+_CAPPED = {"type": "integer", "minimum": 1, "maximum": 2**64}
 _BOOL = {"type": "boolean"}
 _FRACTION = {"type": "array", "prefixItems": [_INT, _POSITIVE], "minItems": 2, "maxItems": 2}
 _INTMAT = _array(_INT, 4)
-_TAU = _object({"m": _POSITIVE, "p": _FRACTION, "q": _FRACTION})
-_ADELIC = _object({"r": _array(_FRACTION, 4), "delta": _INT, "s": _INTMAT, "level": _LEVEL})
-_POINT = _object({"tau": _TAU, "a": _ADELIC, "level": _LEVEL}, {"canonical": _BOOL})
+_TAU = _object({"m": _CAPPED, "p": _FRACTION, "q": _FRACTION})
+_ADELIC = _object({"r": _array(_FRACTION, 4), "delta": _INT, "s": _INTMAT, "level": _CAPPED})
+_POINT = _object({"tau": _TAU, "a": _ADELIC, "level": _CAPPED}, {"canonical": _BOOL})
 _SHADOW = _object(
     {
-        "support": _array(_POSITIVE),
+        "support": _array(_CAPPED),
         "components": _array(_INTMAT),
         "branch": {"enum": [1, -1]},
         "det": _INT,
-        "level": _LEVEL,
+        "level": _CAPPED,
     }
 )
 _TABLE = {"type": "array", "minItems": 1, "items": _object({"s": _POINT, "t": _POINT})}
@@ -171,7 +172,7 @@ SCHEMAS = {
             "unit": _INTMAT,
             "rational": _INTMAT,
             "shadow": _SHADOW,
-            "project": _LEVEL,
+            "project": _CAPPED,
             "canonicalize": _BOOL,
         },
     ),

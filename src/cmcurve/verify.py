@@ -23,7 +23,7 @@ from math import gcd, isqrt, prod
 
 from . import adele, approx, galois, numth, qforms, shimura, tori
 from .adele import ShapeKind, shape_matrix_mod, shape_test
-from .errors import LevelObstruction, NormObstruction, PrecisionObstruction, RViolation
+from .errors import NormObstruction, Obstruction, PrecisionObstruction, RViolation
 from .matrices import FLIP, IDENTITY, Mat2, ModMat, diag_mod, identity_mod, translation
 
 
@@ -100,7 +100,7 @@ def _run(name, fn, cfg) -> CheckOutcome:
     except CheckFailure as exc:
         detail = exc.detail
         status = "fail"
-    except (LevelObstruction, PrecisionObstruction, NormObstruction) as exc:
+    except Obstruction as exc:
         detail = {"obstruction": str(exc)}
         status = "obstructed"
     return CheckOutcome(name, status, time.perf_counter() - start, detail)

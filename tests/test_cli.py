@@ -11,7 +11,7 @@ import pytest
 
 from cmcurve import cli, verify
 from cmcurve.adele import AdelicMatrix, UnitPart
-from cmcurve.errors import LevelObstruction
+from cmcurve.errors import LevelObstruction, NormObstruction, PrecisionObstruction, UnsupportedOrbit
 from cmcurve.matrices import Mat2
 from cmcurve.serialize import (
     SCHEMAS,
@@ -132,6 +132,12 @@ class TestSubcommands:
         proc = run_cli(["fixed"], payload)
         assert proc.returncode == 3
 
+    def test_unsupported_orbit_exit_three(self):
+        shadow = dict(SHADOW5, support=[2])
+        proc = run_cli(["act"], {"point": pt(1, [0, 1], [1, 1], 5), "shadow": shadow})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "obstruction: orbit sqrt(-1) not in shadow support\n"
+
     def test_act_pipeline(self):
         payload = {"point": pt(2, [0, 1], [1, 1], 15), "unit": [2, 0, 0, 1], "project": 5}
         proc = run_cli(["act"], payload)
@@ -227,6 +233,26 @@ class TestTotalCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["equal"] is True
 
+    # tau.m and shadow support entries are factored in full by is_squarefree
+    BIG_M = (2**61 - 1) * (2**89 - 1)
+
+    def test_orbit_m_above_bound_exit_two(self):
+        proc = self.run_timed(["orbit"], {"tau": {"m": self.BIG_M, "p": [1, 1], "q": [2, 1]}})
+        assert proc.returncode == 2, proc.stderr
+        assert f"{self.BIG_M} is greater than the maximum of {2**64}" in proc.stderr
+
+    def test_support_entry_above_bound_exit_two(self):
+        shadow = dict(SHADOW5, support=[1, self.BIG_M], components=[[1, 0, 0, 1]] * 2)
+        proc = self.run_timed(["act"], {"point": pt(1, [0, 1], [1, 1], 5), "shadow": shadow})
+        assert proc.returncode == 2, proc.stderr
+        assert f"{self.BIG_M} is greater than the maximum of {2**64}" in proc.stderr
+
+    def test_orbit_m_at_bound_answers(self):
+        m = 4294967291 * 4294967279
+        proc = self.run_timed(["orbit"], {"tau": {"m": m, "p": [1, 1], "q": [2, 1]}})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cm"] is True
+
 
 # -- schema accept/reject table --------------------------------------------------
 
@@ -289,6 +315,7 @@ POINT_MUTATIONS = [
     (("level",), 2**64 + 1),
     (("a", "level"), 2**64 + 1),
     (("tau", "m"), 0),
+    (("tau", "m"), 2**64 + 1),
     (("a", "delta"), 1.5),
     (("tau", "q", 0), "1"),
     (("a", "s", 3), 0.5),
@@ -308,6 +335,8 @@ REQUEST_MUTATIONS = {
         (("other", "p"), [0, -1]),
         (("tau", "m"), 0),
         (("other", "m"), 0),
+        (("tau", "m"), 2**64 + 1),
+        (("other", "m"), 2**64 + 1),
         (("tau", "m"), 1.5),
         (("other", "p", 1), "1"),
     ],
@@ -324,6 +353,7 @@ REQUEST_MUTATIONS = {
         (("shadow", "level"), 0),
         (("shadow", "level"), 2**64 + 1),
         (("shadow", "support", 0), 0),
+        (("shadow", "support", 0), 2**64 + 1),
         (("shadow", "det"), 1.5),
         (("project",), 0),
         (("project",), 2**64 + 1),
@@ -440,6 +470,21 @@ class TestVerifyCommand:
         assert rep["status"] == "obstructed"
         assert [c["status"] for c in rep["checks"]] == ["obstructed"]
         assert capsys.readouterr().err.startswith("OBSTRUCTED shadows:bad_level")
+
+    # every Obstruction, not only the level, precision and norm ones
+    @pytest.mark.parametrize(
+        "exc",
+        [PrecisionObstruction(5), NormObstruction(3), UnsupportedOrbit(2)],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_every_obstruction_is_obstructed(self, tmp_path, monkeypatch, exc):
+        def check_obstructed(cfg):
+            raise exc
+
+        monkeypatch.setitem(verify.SUITES, "shadows", [("obstructed", check_obstructed)])
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", "shadows", "--out", str(out)]) == cli.EXIT_OBSTRUCTED
+        assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["obstructed"]
 
     @pytest.mark.parametrize(
         "flags",

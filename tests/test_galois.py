@@ -472,7 +472,7 @@ class TestCommonDetTables:
         for p in ODD_PRIMES_BELOW_60:
             for e in (1, 2, 3):
                 pe = p**e
-                roots = _canonical_roots(p) if e == 1 else None
+                roots = _canonical_roots(p, e)
                 for m in (1, 2, 7):
                     if m % p == 0:
                         continue

@@ -1,11 +1,15 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cmcurve.matrices import IDENTITY
+from cmcurve.numth import is_squarefree
 from cmcurve.qforms import (
     QuadForm,
+    _sqrts_minus_d_mod,
     automorphs,
     class_number,
     cornacchia,
@@ -189,6 +193,23 @@ class TestCornacchia:
                 assert (got is None) == (expect is None), (m, k)
                 if got is not None:
                     assert got[0] ** 2 + m * got[1] ** 2 == k
+
+    def test_roots_of_minus_d_match_brute_force(self):
+        # every n <= 300, and 2^k times a small odd cofactor up to 5 * 2^12
+        ns = list(range(1, 301)) + [2**k * c for k in range(9, 13) for c in (1, 3, 5)]
+        for d in filter(is_squarefree, range(1, 41)):
+            for n in ns:
+                want = [x for x in range(n) if (x * x + d) % n == 0]
+                assert _sqrts_minus_d_mod(d, n) == want, (d, n)
+
+    def test_power_of_two_is_fast(self):
+        # the roots mod 2^e were found by scanning all 2^e residues, which
+        # took hours at e = 60
+        code = "from cmcurve.qforms import cornacchia; print(*cornacchia(7, 2**60))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        x, y = map(int, proc.stdout.split())
+        assert x * x + 7 * y * y == 2**60
 
 
 class TestSolveFormRational:
