@@ -203,8 +203,7 @@ class TestCornacchia:
                 assert _sqrts_minus_d_mod(d, n) == want, (d, n)
 
     def test_power_of_two_is_fast(self):
-        # the roots mod 2^e were found by scanning all 2^e residues, which
-        # took hours at e = 60
+        # the roots mod 2^60 must be lifted, not found among 2^60 residues
         code = "from cmcurve.qforms import cornacchia; print(*cornacchia(7, 2**60))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0, proc.stderr
