@@ -45,8 +45,25 @@ from .qforms import norm_obstruction, solve_form_rational
 from .shimura import LevelPoint, _frame_prime, orbit_rep
 
 
+def _check_support_and_level(support, level) -> None:
+    """The argument checks a shadow needs before its components: distinct,
+    square-free, positive support entries and an int level >= 1."""
+    if len(support) != len(set(support)):
+        raise ValueError("support must be distinct")
+    for m in support:
+        if not is_squarefree(m):  # also false at m <= 0
+            raise ValueError("support entries must be square-free")
+    if type(level) is not int or level < 1:
+        raise ValueError("level must be an int >= 1")
+
+
 @dataclass(frozen=True, slots=True)
 class GaloisShadow:
+    """The public constructor is the boundary: it checks every field, and
+    every shadow it returns has a unit det and components that pass the
+    branch's shape test with that det.  Only surjective_common_det, whose
+    tables build each shadow correct by construction, uses _trusted."""
+
     support: tuple  # distinct square-free positive integers, ordered
     components: tuple  # one ModMat per supported orbit
     branch: int
@@ -57,8 +74,7 @@ class GaloisShadow:
         n = self.level
         if self.branch not in (1, -1):
             raise ValueError("branch must be +-1")
-        if len(self.support) != len(set(self.support)):
-            raise ValueError("support must be distinct")
+        _check_support_and_level(self.support, n)
         if len(self.support) != len(self.components):
             raise ValueError("support/component length mismatch")
         object.__setattr__(self, "support", tuple(self.support))
@@ -67,9 +83,9 @@ class GaloisShadow:
             # a det already in range keeps its object, shared with the
             # caller's lambda (surjective_common_det's keys)
             object.__setattr__(self, "det", self.det % n)
+        if gcd(self.det, n) != 1:
+            raise ValueError("det must be a unit mod the level")
         for m, comp in zip(self.support, self.components):
-            if not is_squarefree(m):
-                raise ValueError("support entries must be square-free")
             if comp.n != n:
                 raise ValueError("component level mismatch")
             ok, _ = shape_test(comp, ShapeKind(m, self.branch))
@@ -77,6 +93,18 @@ class GaloisShadow:
                 raise ValueError(f"component for m={m} fails the branch {self.branch} shape test")
             if comp.det() != self.det:
                 raise ValueError("components must share the common determinant")
+
+    @classmethod
+    def _trusted(cls, support: tuple, components: tuple, branch: int, det: int, level: int):
+        """A shadow from fields already known to pass __post_init__, stored
+        as given with no check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "level", level)
+        return self
 
     def component_for(self, m: int) -> ModMat:
         try:
@@ -335,10 +363,17 @@ def surjective_common_det(support, level: int) -> dict:
     norm_residue_witness(m, r, p, e) for every unit r mod p^e: phi(p^e)
     entries, read off one list of the canonical square roots mod p^e.
     Each lambda then combines its table entries with the CRT idempotents of
-    the level, computed once.  Every shadow still passes GaloisShadow's
-    validation.
+    the level, computed once.
+
+    The support and level are checked once, with GaloisShadow's messages,
+    before the good-level test.  The shadows skip GaloisShadow's
+    per-component checks: each component is a branch +1 shape with
+    x^2 + m*y^2 = lambda, its det, by construction.  The tests rebuild
+    every shadow through the public constructor and compare the answer
+    with a per-lambda oracle and with frozen digests.
     """
     support = tuple(support)
+    _check_support_and_level(support, level)
     if not is_good_level(level, support):
         raise LevelObstruction(level, support)
     # per support entry, per prime power p^e: p^e, its CRT idempotent (1 mod
@@ -363,7 +398,8 @@ def surjective_common_det(support, level: int) -> dict:
                 x += xs[r] * idem
                 y += ys[r] * idem
             comps.append(shape_matrix_mod(x, y, m, 1, level))
-        out[lam] = GaloisShadow(support, tuple(comps), 1, lam, level)
+        # det is lam's own object, or 1 % 1 = 0 at level 1
+        out[lam] = GaloisShadow._trusted(support, tuple(comps), 1, lam if level > 1 else 0, level)
     return out
 
 

@@ -443,6 +443,27 @@ class TestSchemas:
         assert capsys.readouterr().err == f"error: input does not match schema {name}: {message}\n"
 
 
+class TestShadowBoundary:
+    """A shadow the library constructor refuses is malformed input (exit 2),
+    never an obstruction met while acting with it."""
+
+    @pytest.mark.parametrize(
+        "level, det, message",
+        [
+            # the schema caps levels below at 1, as the constructor does
+            (0, 1, "input does not match schema act: 0 is less than the minimum of 1"),
+            # det 2 is no unit mod 4, and no component's shape test sees it;
+            # acting must not get as far as the missing orbit (exit 3)
+            (4, 2, "det must be a unit mod the level"),
+        ],
+    )
+    def test_bad_shadow_exits_two(self, tmp_path, capsys, level, det, message):
+        shadow = {"support": [], "components": [], "branch": 1, "det": det, "level": level}
+        payload = {"point": pt(1, [0, 1], [1, 1], 4), "shadow": shadow}
+        assert main_in_process(tmp_path, "act", payload) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     def test_reproducible_reports(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

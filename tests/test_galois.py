@@ -8,6 +8,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmcurve import galois
 from cmcurve.adele import ShapeKind, shape_matrix_mod, shape_test
 from cmcurve.errors import LevelObstruction, NormObstruction, UnsupportedOrbit
 from cmcurve.galois import (
@@ -67,6 +68,18 @@ class TestShadowBasics:
         with pytest.raises(ValueError):
             # determinant differs from the declared common value
             GaloisShadow((1,), (shape_matrix_mod(2, 2, 1, 1, 5),), 1, 2, 5)
+
+    @pytest.mark.parametrize("level", [0, -5, 7.0, True])
+    def test_level_must_be_an_int_at_least_one(self, level):
+        with pytest.raises(ValueError, match="level must be an int >= 1"):
+            GaloisShadow((), (), 1, 1, level)
+
+    # a component's shape test already demands a unit det; with no
+    # component, the det itself is checked
+    @pytest.mark.parametrize("det,level", [(2, 4), (0, 5), (12, 9)])
+    def test_det_must_be_a_unit(self, det, level):
+        with pytest.raises(ValueError, match="det must be a unit mod the level"):
+            GaloisShadow((), (), 1, det, level)
 
 
 class TestShadowAct:
@@ -264,6 +277,26 @@ class TestSurjectivity:
                 assert comp.a is comp.d
         assert GaloisShadow((1,), (ModMat(1, 0, 0, 1, 7),), 1, 8, 7).det == 1
 
+    # checked once per call, with GaloisShadow's messages, before the
+    # good-level test: malformed input is no LevelObstruction, even where
+    # the level is also bad (m = 0 makes every level bad)
+    @pytest.mark.parametrize(
+        "support,level,message",
+        [
+            ((4,), 7, "support entries must be square-free"),
+            ((1, 1), 7, "support must be distinct"),
+            ((-1,), 7, "support entries must be square-free"),
+            ((9,), 5, "support entries must be square-free"),
+            ((1,), -7, "level must be an int >= 1"),
+            ((0,), 7, "support entries must be square-free"),
+            ((1,), 0, "level must be an int >= 1"),
+        ],
+    )
+    def test_argument_checks(self, support, level, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            surjective_common_det(support, level)
+        assert not isinstance(exc.value, LevelObstruction)
+
     def test_level_obstruction(self):
         with pytest.raises(LevelObstruction):
             surjective_common_det((5,), 10)
@@ -382,8 +415,9 @@ class TestCommonDetUnchanged:
         ((2, 7), 33): "6d8713075deafd7e",
         ((2, 7), 121): "b0c4a19085829493",
         ((2, 7), 165): "fef2f6ebca610a88",
-        # the benchmark's levels, prime levels above 3, and p = 1 (mod 4)
-        # prime powers with e >= 2 (the Tonelli-Shanks and Hensel paths)
+        # the benchmark's prime levels, prime powers with e >= 2 and one
+        # level of three primes; every table reads its roots off one
+        # canonical-root list mod p^e
         ((1, 2), 101): "5a0da21b47c64100",
         ((1, 2), 1009): "c08245a76070f915",
         ((1, 2), 10007): "aba509cd059f273d",
@@ -480,3 +514,37 @@ class TestCommonDetTables:
                     for r in range(pe):
                         if r % p:
                             assert (xs[r], ys[r]) == _norm_residue(m, r, p, e), (m, r, p, e)
+
+
+class TestTrustedShadows:
+    """surjective_common_det builds its shadows without GaloisShadow's
+    per-component checks; these tests run the checks it skips."""
+
+    LEVELS = (1, 7, 169, 289, 1001, 1009, 1105, 2187)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_public_constructor_rebuilds_every_shadow(self, level):
+        checked = 0
+        for support in ((1,), (1, 2), (2, 7)):
+            if not is_good_level(level, support):
+                continue
+            for lam, sigma in surjective_common_det(support, level).items():
+                rebuilt = GaloisShadow(sigma.support, sigma.components, 1, lam, level)
+                assert rebuilt == sigma, (support, level, lam)
+                checked += 1
+        assert checked
+
+    def test_no_shape_test_per_shadow(self, monkeypatch):
+        calls = {"shape_test": 0, "is_squarefree": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(galois, name, counting(name, getattr(galois, name)))
+        assert len(surjective_common_det((1, 2), 1009)) == 1008
+        assert calls == {"shape_test": 0, "is_squarefree": 2}
