@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import PrecisionObstruction
 from .matrices import Mat2, ModMat, diag_mod, identity_mod, sl2_lift
-from .numth import crt, factor
+from .numth import crt, factor, require_coprime
 
 LevelMatrix = ModMat  # GL2 over Z/N with unit determinant
 
@@ -102,8 +102,8 @@ class AdelicMatrix:
 
         Factors the common denominator (the lcm of the entry denominators)
         and the determinant numerator, so its cost grows with the size of
-        the rational data; checks against a level use _noninvertible_primes,
-        which tests only the primes of the level."""
+        the rational data; checks against a level pass the same two ints to
+        numth.require_coprime, which takes one gcd each."""
         primes = set(factor(self.r.den).primes())
         primes.update(factor(self.r.det_numerator()).primes())
         return primes
@@ -127,8 +127,7 @@ def reduce_level(g: AdelicMatrix, n: int) -> ModMat:
     prime of the rational part, or when n demands a higher power of a shared
     prime than the stored level knows.
     """
-    for p in sorted(_noninvertible_primes(g.r, n)):
-        raise PrecisionObstruction(p)
+    require_coprime(n, g.r.den, g.r.det_numerator())
     level = g.level
     delta_residues = []
     for p, e in factor(n).factors:
@@ -160,8 +159,7 @@ def mul(g1: AdelicMatrix, g2: AdelicMatrix) -> AdelicMatrix:
         raise ValueError("level mismatch")
     n = g1.level
     rprime = g1.u.s * g2.r  # exact rational matrix
-    for p in sorted(_noninvertible_primes(rprime, n)):
-        raise PrecisionObstruction(p)
+    require_coprime(n, rprime.den, rprime.det_numerator())
     r_new = g1.r * rprime
     if n == 1:  # keeps g2's s, where the general path would lift a fresh one
         return AdelicMatrix(r_new, UnitPart(1, g2.u.s, 1), 1)
@@ -176,15 +174,6 @@ def _normal_form(r: Mat2, unit: ModMat) -> AdelicMatrix:
     n = unit.n
     delta = unit.det()
     return AdelicMatrix(r, UnitPart(delta, sl2_lift(diag_mod(delta, n).inv() * unit), n), n)
-
-
-def _noninvertible_primes(r: Mat2, n: int) -> set:
-    """Primes of n where r is not an integral unit: the primes of n among
-    AdelicMatrix(r, ...).rational_primes(), found without factoring r."""
-    # a prime divides some entry denominator iff it divides den, and away
-    # from den it divides det() iff it divides det_numerator()
-    den, det = r.den, r.det_numerator()
-    return {p for p, _ in factor(n).factors if den % p == 0 or det % p == 0}
 
 
 def unit_rightmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
@@ -212,8 +201,7 @@ def unit_leftmul(g: AdelicMatrix, h: ModMat) -> AdelicMatrix:
         return g
     if not h.is_unit():
         raise ValueError("level matrix must have unit determinant")
-    for p in sorted(_noninvertible_primes(g.r, n)):
-        raise PrecisionObstruction(p)
+    require_coprime(n, g.r.den, g.r.det_numerator())
     rm = g.r.mod(n)
     return _normal_form(g.r, rm.inv() * h * rm * g.u.mod(n))
 

@@ -29,7 +29,6 @@ from .adele import (
 from .errors import (
     LevelObstruction,
     NormObstruction,
-    PrecisionObstruction,
     UnsupportedOrbit,
 )
 from .matrices import ModMat, identity_mod
@@ -37,12 +36,12 @@ from .numth import (
     factor,
     is_prime,
     is_squarefree,
-    smallest_shared_prime,
+    require_coprime,
     sqrt_mod_unchecked,
     units_mod,
 )
 from .qforms import norm_obstruction, solve_form_rational
-from .shimura import LevelPoint, _frame_prime, orbit_rep
+from .shimura import LevelPoint, orbit_rep
 
 
 def _check_support_and_level(support, level) -> None:
@@ -162,16 +161,13 @@ def shadow_act(sigma: GaloisShadow, P: LevelPoint) -> LevelPoint:
     """
     if sigma.level != P.level:
         raise ValueError("level mismatch")
-    m = P.tau.m
-    r = sigma.component_for(m)
-    n = P.level
-    if not P.frame_compatible():
-        raise PrecisionObstruction(_frame_prime(P))
-    _, frame = orbit_rep(P.tau)
+    tau, n = P.tau, P.level
+    r = sigma.component_for(tau.m)
+    require_coprime(n, tau.p.denominator, tau.q.denominator, tau.q.numerator)
+    _, frame = orbit_rep(tau)
     fmod = frame.mod(n)
     acting = fmod * r * fmod.inv()
-    a2 = unit_leftmul(P.a, acting)
-    return LevelPoint(P.tau, a2, n)
+    return LevelPoint(tau, unit_leftmul(P.a, acting), n)
 
 
 def shadow_eq(s1: GaloisShadow, s2: GaloisShadow) -> bool:
@@ -247,8 +243,7 @@ def equalize_dets(entries, hints) -> tuple[GaloisShadow, NormalizationCertificat
         if branch is None:
             raise ValueError(f"matrix for m={m} is not a normalizer shape")
         branches.append(branch)
-        if gcd(hint.numerator, n) != 1 or gcd(hint.denominator, n) != 1:
-            raise PrecisionObstruction(smallest_shared_prime(hint.numerator * hint.denominator, n))
+        require_coprime(n, hint.numerator, hint.denominator)
         lams.append(mat.det() * pow(hint.numerator, -1, n) * hint.denominator % n)
     if len(set(branches)) != 1:
         raise ValueError("branch signs must be uniform for a common determinant")
@@ -283,7 +278,8 @@ def is_good_level(level: int, support) -> bool:
 
 
 def norm_residue_witness(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
-    """(x, y) with x^2 + m*y^2 = lam mod p^k, for odd p not dividing m*lam.
+    """(x, y) with x^2 + m*y^2 = lam mod p^k, for odd p not dividing m*lam
+    (ValueError otherwise).
 
     A mod-p solution always exists (the conic has p - chi(-m) points); the
     coordinate with a unit value is lifted through powers of p.
@@ -292,6 +288,8 @@ def norm_residue_witness(m: int, lam: int, p: int, k: int) -> tuple[int, int]:
         raise ValueError("p must be an odd prime")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if m * lam % p == 0:
+        raise ValueError("p must not divide m*lam")
     return _norm_residue(m, lam, p, k)
 
 
@@ -423,7 +421,7 @@ def component_action(sigma: GaloisShadow) -> int:
 
 def shadow_project(sigma: GaloisShadow, new_level: int, new_support=None) -> GaloisShadow:
     """Restriction to a divisor level and/or a sub-support."""
-    if sigma.level % new_level:
+    if new_level < 1 or sigma.level % new_level:
         raise ValueError("new level must divide the old one")
     support = tuple(new_support) if new_support is not None else sigma.support
     comps = []

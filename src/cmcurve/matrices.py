@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PrecisionObstruction
-from .numth import ext_gcd, smallest_shared_prime
+from .numth import ext_gcd, require_coprime
 
 
 class Mat2:
@@ -135,9 +134,7 @@ class Mat2:
             return ModMat(self.an, self.bn, self.cn, self.dn, n)
         if gcd(den, n) != 1:
             for x in (self.an, self.bn, self.cn, self.dn):
-                x_den = den // gcd(x, den)
-                if gcd(x_den, n) != 1:
-                    raise PrecisionObstruction(smallest_shared_prime(x_den, n))
+                require_coprime(n, den // gcd(x, den))
         di = pow(den, -1, n)
         return ModMat(self.an * di, self.bn * di, self.cn * di, self.dn * di, n)
 
@@ -232,7 +229,7 @@ class ModMat:
 
     def reduce(self, m: int) -> "ModMat":
         """Further reduction mod m for m | n (or m == n)."""
-        if self.n % m != 0:
+        if m < 1 or self.n % m != 0:
             raise ValueError(f"{m} does not divide modulus {self.n}")
         return ModMat(self.a, self.b, self.c, self.d, m)
 

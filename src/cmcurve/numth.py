@@ -14,6 +14,8 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd
 
+from .errors import PrecisionObstruction
+
 INF = "inf"  # the archimedean place in hilbert_symbol
 
 # Witnesses making Miller-Rabin deterministic below 2^64.
@@ -340,6 +342,17 @@ def smallest_shared_prime(x: int, n: int) -> int:
         if x % p == 0:
             return p
     raise ValueError(f"{x} and {n} are coprime")
+
+
+def require_coprime(n: int, *xs: int) -> None:
+    """Return when every x is a unit mod n, else raise PrecisionObstruction
+    at the smallest prime of n dividing some x: the one rule that names the
+    prime of a precision obstruction.  One gcd per x."""
+    shared = 1
+    for x in xs:
+        shared *= gcd(x, n)
+    if shared != 1:
+        raise PrecisionObstruction(smallest_shared_prime(shared, n))
 
 
 def solve_linear_congruence(alpha: int, beta: int, n: int):

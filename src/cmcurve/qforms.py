@@ -25,7 +25,7 @@ from .numth import (
     squarefree_part,
 )
 
-MAX_DISC = 10**8  # desk-scale bound enforced at construction
+MAX_DISC = 10**8  # bound on |disc| in reduced_forms, whose loop is linear in |disc|
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +41,6 @@ class QuadForm:
             raise ValueError("form must be primitive")
         if self.disc >= 0:
             raise ValueError("form must be positive definite (disc < 0)")
-        if -self.disc > MAX_DISC:
-            raise ValueError(f"|disc| exceeds desk-scale bound {MAX_DISC}")
 
     @property
     def disc(self) -> int:
@@ -160,6 +158,8 @@ def reduced_forms(disc: int) -> list[QuadForm]:
     lexicographically ordered; the length is the class number h(disc)."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+    if -disc > MAX_DISC:
+        raise ValueError(f"|disc| exceeds desk-scale bound {MAX_DISC}")
     out = []
     amax = isqrt(-disc // 3) if disc < -3 else 1
     for A in range(1, max(amax, 1) + 1):

@@ -18,7 +18,6 @@ from math import gcd
 
 from .adele import (
     AdelicMatrix,
-    _noninvertible_primes,
     LevelMatrix,
     ShapeKind,
     UnitPart,
@@ -27,9 +26,8 @@ from .adele import (
     shape_test,
     unit_rightmul,
 )
-from .errors import PrecisionObstruction
 from .matrices import IDENTITY, MIRROR, Mat2, ModMat
-from .numth import is_squarefree, smallest_shared_prime
+from .numth import is_squarefree, require_coprime
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +94,8 @@ class LevelPoint:
 
     Construction requires the adelic coordinate to reduce invertibly mod N.
     Operations that conjugate through the orbit frame (q, p; 0, 1) check
-    frame_compatible separately: renormalized representatives of the same
-    point may carry frames that meet the level.
+    the frame separately (frame_compatible): renormalized representatives
+    of the same point may carry frames that meet the level.
     """
 
     tau: QuadPoint
@@ -107,17 +105,13 @@ class LevelPoint:
     def __post_init__(self):
         if self.level != self.a.level:
             raise ValueError("coordinate level mismatch")
-        for p in sorted(_noninvertible_primes(self.a.r, self.level)):
-            raise PrecisionObstruction(p)
+        require_coprime(self.level, self.a.r.den, self.a.r.det_numerator())
 
     def frame_compatible(self) -> bool:
         """Whether the orbit frame (q, p; 0, 1) is invertible mod the level;
         operations that conjugate into the orbit base need this."""
-        n = self.level
-        for x in (self.tau.p.denominator, self.tau.q.denominator, self.tau.q.numerator):
-            if gcd(x, n) != 1:
-                return False
-        return True
+        tau = self.tau
+        return gcd(tau.p.denominator * tau.q.denominator * tau.q.numerator, self.level) == 1
 
     # -- conveniences ---------------------------------------------------------
 
@@ -132,13 +126,6 @@ class LevelPoint:
     def full_matrix(self) -> ModMat:
         """The coordinate reduced mod N (rational times unit part)."""
         return reduce_level(self.a, self.level)
-
-
-def _frame_prime(P: LevelPoint) -> int:
-    """The smallest prime of the level dividing the orbit frame data
-    (q, p; 0, 1), for a point that is not frame_compatible."""
-    tau = P.tau
-    return smallest_shared_prime(tau.p.denominator * tau.q.denominator * tau.q.numerator, P.level)
 
 
 # -- orbit bookkeeping ---------------------------------------------------------
@@ -163,9 +150,9 @@ def to_base_frame(point: LevelPoint) -> LevelPoint:
     """The same point written over the orbit base: [tau, a] = [sqrt(-m), f^{-1} a]
     for the frame matrix f of orbit_rep.  Obstructed when the frame is not
     invertible mod the level."""
-    if not point.frame_compatible():
-        raise PrecisionObstruction(_frame_prime(point))
-    m, frame = orbit_rep(point.tau)
+    tau = point.tau
+    require_coprime(point.level, tau.p.denominator, tau.q.denominator, tau.q.numerator)
+    m, frame = orbit_rep(tau)
     if frame == IDENTITY:
         return point
     a2 = rational_leftmul(point.a, frame.inv())
@@ -297,7 +284,7 @@ def is_fixed(g: LevelMatrix, P: LevelPoint) -> bool:
 def project(P: LevelPoint, new_level: int) -> LevelPoint:
     """The image at a divisor level: same tau and rational part, unit data
     reduced."""
-    if P.level % new_level:
+    if new_level < 1 or P.level % new_level:
         raise ValueError("new level must divide the old one")
     u = P.a.u
     a2 = AdelicMatrix(P.a.r, UnitPart(u.delta, u.s, new_level), new_level)

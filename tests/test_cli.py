@@ -85,6 +85,14 @@ class TestSubcommands:
         assert out["equal"] is True
         assert out["witness"]["q"] == [[1, 1], [1, 1], [0, 1], [1, 1]]
 
+    def test_point_eq_form_above_enumeration_bound(self):
+        # r^-1(tau) has a form with |disc| above qforms.MAX_DISC
+        r = {"r": [[0, 1], [-2, 3], [2, 1], [11, 12]], "delta": 1, "s": [1, 0, 0, 1], "level": 5}
+        P = pt(1, [1, 3], [1, 4], 5, r)
+        proc = run_cli(["point-eq"], {"p1": P, "p2": P})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["equal"] is True
+
     def test_orbit_spec_example(self):
         proc = run_cli(["orbit"], {"tau": {"m": 5, "p": [1, 1], "q": [2, 1]}})
         assert proc.returncode == 0

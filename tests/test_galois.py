@@ -353,6 +353,12 @@ class TestProject:
         assert tau.support == (1,)
         assert tau.det == 5
 
+    def test_bad_levels(self):
+        sigma = surjective_common_det((1, 2), 15)[2]
+        for level in (0, 7, -5):
+            with pytest.raises(ValueError):
+                shadow_project(sigma, level)
+
     def test_commutes_with_action(self):
         rng = random.Random(505)
         # level 15 -> 5 with support {1, 2}: gcd(15, 2*1*2) = 1, good level
@@ -455,10 +461,20 @@ class TestCommonDetUnchanged:
                     x, y = norm_residue_witness(m, lam, p, k)
                     assert (x * x + m * y * y - lam) % pk == 0
 
-    @pytest.mark.parametrize("p,k", [(2, 1), (4, 1), (9, 1), (15, 2), (21, 1), (5, 0)])
-    def test_residue_witness_rejects_bad_prime_power(self, p, k):
+    # (m, lam, p, k): a bad prime power at m = lam = 1 (id "p-k"), then p | m*lam
+    BAD_RESIDUE_ARGS = [
+        (1, 1, 2, 1), (1, 1, 4, 1), (1, 1, 9, 1), (1, 1, 15, 2), (1, 1, 21, 1), (1, 1, 5, 0),
+        (1, 0, 3, 1), (3, 2, 3, 1), (1, 3, 3, 2), (3, 1, 3, 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "m,lam,p,k",
+        BAD_RESIDUE_ARGS,
+        ids=[f"{p}-{k}" if m == lam == 1 else f"{m}-{lam}-{p}-{k}" for m, lam, p, k in BAD_RESIDUE_ARGS],
+    )
+    def test_residue_witness_rejects_bad_prime_power(self, m, lam, p, k):
         with pytest.raises(ValueError):
-            norm_residue_witness(1, 1, p, k)
+            norm_residue_witness(m, lam, p, k)
 
 
 ODD_PRIMES_BELOW_60 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)

@@ -34,10 +34,6 @@ def coprime(n):
     return st.integers(1, 4).filter(lambda x: gcd(x, n) == 1)
 
 
-def one(n):
-    return st.just(1)
-
-
 def units(n, bound=30):
     return st.integers(-bound, bound).filter(lambda x: x and gcd(x, n) == 1)
 
@@ -51,17 +47,17 @@ def sl2(draw):
 
 
 @st.composite
-def rational(draw, n, den=coprime):
+def rational(draw, n):
     """An invertible rational matrix, integral and invertible at the primes
     of n: an SL2(Z) matrix times (x, y; 0, z) with x and z units at n."""
-    x, z = (Fraction(draw(units(n, 4)), draw(den(n))) for _ in range(2))
-    y = Fraction(draw(st.integers(-3, 3)), draw(den(n)))
+    x, z = (Fraction(draw(units(n, 4)), draw(coprime(n))) for _ in range(2))
+    y = Fraction(draw(st.integers(-3, 3)), draw(coprime(n)))
     return draw(sl2()) * Mat2(x, y, 0, z)
 
 
 @st.composite
-def adelic(draw, n, den=coprime):
-    return AdelicMatrix(draw(rational(n, den)), UnitPart(draw(units(n)), draw(sl2()), n), n)
+def adelic(draw, n):
+    return AdelicMatrix(draw(rational(n)), UnitPart(draw(units(n)), draw(sl2()), n), n)
 
 
 @st.composite
@@ -71,15 +67,13 @@ def unit_matrix(draw, n):
 
 @st.composite
 def point(draw, n):
-    """A level point whose orbit frame is invertible mod n.  Its rational
-    part is integral, which keeps the forms that point_eq reduces within
-    qforms.MAX_DISC."""
+    """A level point whose orbit frame is invertible mod n."""
     tau = QuadPoint(
         draw(st.sampled_from(SUPPORT)),
         Fraction(draw(st.integers(-3, 3)), draw(coprime(n))),
         Fraction(draw(coprime(n)), draw(coprime(n))),
     )
-    return LevelPoint(tau, draw(adelic(n, one)), n)
+    return LevelPoint(tau, draw(adelic(n)), n)
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcurve.adele import _noninvertible_primes
 from cmcurve.errors import PrecisionObstruction
-from cmcurve.matrices import IDENTITY, Mat2
+from cmcurve.matrices import IDENTITY, Mat2, ModMat
+from cmcurve.numth import require_coprime
 from oracles import FractionMat2, noninvertible_primes_per_entry
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -118,6 +118,14 @@ def test_mod_obstruction_names_first_entry_prime():
     assert _mod_or_prime(FractionMat2(Fraction(1, 7), Fraction(1, 5), 0, 1), 35) == ("obstruction", 7)
 
 
+def test_modmat_reduce_to_a_bad_level_raises():
+    g = ModMat(2, 3, 1, 2, 15)
+    assert g.reduce(5) == ModMat(2, 3, 1, 2, 5)
+    for m in (0, 7, -5):
+        with pytest.raises(ValueError):
+            g.reduce(m)
+
+
 @PROPERTY
 @given(quads, quads, quads)
 def test_mul_is_associative(q1, q2, q3):
@@ -153,7 +161,15 @@ def test_constructor_accepts_what_fraction_accepts():
 @PROPERTY
 @given(quads, levels)
 def test_noninvertible_primes_match_per_entry_rule(q, n):
+    # the level checks pass (den, det_numerator()) to require_coprime, which
+    # must name the smallest prime the entry-by-entry rule finds
     m = Mat2(*q)
     if m.det() == 0:
         return
-    assert _noninvertible_primes(m, n) == noninvertible_primes_per_entry(m, n)
+    primes = noninvertible_primes_per_entry(m, n)
+    if not primes:
+        require_coprime(n, m.den, m.det_numerator())
+        return
+    with pytest.raises(PrecisionObstruction) as e:
+        require_coprime(n, m.den, m.det_numerator())
+    assert e.value.prime == min(primes)

@@ -8,6 +8,7 @@ import pytest
 from cmcurve.matrices import IDENTITY
 from cmcurve.numth import is_squarefree
 from cmcurve.qforms import (
+    MAX_DISC,
     QuadForm,
     _sqrts_minus_d_mod,
     automorphs,
@@ -174,6 +175,17 @@ class TestReducedForms:
         assert class_number(-4) == 1
         assert class_number(-20) == 2
         assert class_number(-23) == 3
+
+    def test_bound_is_on_enumeration_only(self):
+        # reduction of a large form is cheap; only the class enumeration
+        # runs |disc|/3 steps
+        big = -4 * (MAX_DISC + 1)
+        f = QuadForm(1, 0, MAX_DISC + 1)
+        assert f.disc == big and f.is_reduced()
+        assert reduce_form(QuadForm(MAX_DISC + 1, 0, 1))[0] == f
+        for call in (reduced_forms, class_number):
+            with pytest.raises(ValueError, match="desk-scale bound"):
+                call(big)
 
 
 class TestCornacchia:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from cmcurve.adele import AdelicMatrix, UnitPart
 from cmcurve.errors import PrecisionObstruction
 from cmcurve.matrices import Mat2, ModMat, diag_mod, identity_mod
@@ -17,6 +19,7 @@ from cmcurve.shimura import (
     is_fixed,
     orbit_rep,
     point_eq,
+    PointEqWitness,
     point_eq_witness,
     project,
     same_orbit,
@@ -151,6 +154,19 @@ class TestPointEq:
         w = point_eq_witness(P, Q)
         assert w is not None
         assert w.q == Mat2(1, 1, 0, 1)  # the witness moving [i,1] to [i+1, shear]
+
+    def test_form_above_enumeration_bound(self):
+        # r^-1(tau) = -659/600 + (12/25) sqrt(-1), whose form has |disc| above
+        # qforms.MAX_DISC: the bound is on reduced_forms, not on point_eq
+        r = Mat2(0, Fraction(-2, 3), 2, Fraction(11, 12))
+        P = LevelPoint(
+            QuadPoint(1, Fraction(1, 3), Fraction(1, 4)),
+            AdelicMatrix(r, UnitPart(1, Mat2(1, 0, 0, 1), 5), 5),
+            5,
+        )
+        w = point_eq_witness(P, P)
+        assert isinstance(w, PointEqWitness)
+        assert w.q == Mat2(1, 0, 0, 1)
 
     def test_unit_twist_differs(self):
         P = LevelPoint.base(1, 5)
@@ -345,6 +361,12 @@ class TestProject:
     def test_identity_projection(self):
         P = LevelPoint.base(2, 12)
         assert project(P, 12) == P
+
+    def test_bad_levels(self):
+        P = LevelPoint.base(2, 12)
+        for level in (0, 5, -5):
+            with pytest.raises(ValueError):
+                project(P, level)
 
     def test_commutes_with_act_unit(self):
         rng = random.Random(408)
