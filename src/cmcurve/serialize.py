@@ -10,11 +10,14 @@ Formats:
 
 Decoder functions validate shapes and reconstruct exact values; canonical
 outputs carry "canonical": true.  SCHEMAS holds the JSON Schema (2020-12) of
-each CLI request, built from one definition of each shape above.
+each CLI request, built from one definition of each shape above, and ACCEPTS
+the acceptance predicate built from each: it holds only on requests that the
+schema accepts, so only the requests it refuses need a schema validator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .adele import AdelicMatrix, UnitPart
@@ -179,3 +182,90 @@ SCHEMAS = {
     "relation": _request({"s1": _POINT, "s2": _POINT, "t1": _POINT, "t2": _POINT}),
     "lift": _request({"table": _TABLE}),
 }
+
+
+# -- acceptance predicates --------------------------------------------------------
+# acceptor(schema) holds only on instances that a 2020-12 validator accepts,
+# and may refuse some of those too (a float such as 2.0 where an integer is
+# asked for): a refused instance goes on to the validator, which words the
+# rejection or accepts it after all.  Each keyword check below is at least as
+# strict as the keyword itself, and the conjunction of such checks is at
+# least as strict as the schema; a keyword with no check here raises, so no
+# schema edit can widen the predicate unnoticed.
+
+_TYPES = {"integer", "boolean", "array", "object"}
+_ARRAY_KEYWORDS = {"items", "prefixItems", "minItems", "maxItems"}
+_OBJECT_KEYWORDS = {"required", "properties", "additionalProperties"}
+_KEYWORDS = {"$schema", "type", "minimum", "maximum", "enum"} | _ARRAY_KEYWORDS | _OBJECT_KEYWORDS
+
+
+def acceptor(schema: dict):
+    """The acceptance predicate of a JSON Schema written with the keywords of
+    SCHEMAS; ValueError on any other keyword or keyword value."""
+    keys = schema.keys()
+    unknown = keys - _KEYWORDS
+    if unknown:
+        raise ValueError(f"no acceptance predicate for keyword(s) {sorted(unknown)}")
+    kind = schema.get("type")
+    if kind is not None and kind not in _TYPES:
+        raise ValueError(f"no acceptance predicate for type {kind!r}")
+    checks = []
+    if kind == "integer" or keys & {"minimum", "maximum"}:
+        checks.append(_integer_check(schema.get("minimum", -math.inf), schema.get("maximum", math.inf)))
+    if kind == "boolean":
+        checks.append(lambda x: type(x) is bool)
+    if kind == "array" or keys & _ARRAY_KEYWORDS:
+        checks.append(_array_check(schema))
+    if kind == "object" or keys & _OBJECT_KEYWORDS:
+        checks.append(_object_check(schema))
+    if "enum" in schema:
+        checks.append(_enum_check(schema["enum"]))
+    if len(checks) == 1:
+        return checks[0]
+    return lambda x: all(check(x) for check in checks)
+
+
+def _integer_check(lo, hi):
+    return lambda x: type(x) is int and lo <= x <= hi
+
+
+def _array_check(schema):
+    prefix = tuple(acceptor(s) for s in schema.get("prefixItems", ()))
+    rest = acceptor(schema["items"]) if "items" in schema else None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    start = len(prefix)
+
+    def check(x):
+        return (
+            type(x) is list
+            and lo <= len(x) <= hi
+            and all(accept(v) for accept, v in zip(prefix, x))
+            and (rest is None or all(rest(v) for v in x[start:]))
+        )
+
+    return check
+
+
+def _object_check(schema):
+    additional = schema.get("additionalProperties", True)
+    if type(additional) is not bool:
+        raise ValueError("no acceptance predicate for a schema of additional properties")
+    properties = {name: acceptor(s) for name, s in schema.get("properties", {}).items()}
+    required = frozenset(schema.get("required", ()))
+    return lambda x: (
+        type(x) is dict
+        and required <= x.keys()
+        and all(properties[k](v) if k in properties else additional for k, v in x.items())
+    )
+
+
+def _enum_check(values):
+    # jsonschema tells 1 from true but not 1 from 1.0; an exact type match
+    # refuses true and 1.0 alike.  Containers, whose equality would need the
+    # same care all the way down, are left to the validator.
+    if any(type(v) in (list, dict) for v in values):
+        raise ValueError("no acceptance predicate for an enum of arrays or objects")
+    return lambda x: any(type(x) is type(v) and x == v for v in values)
+
+
+ACCEPTS = {name: acceptor(schema) for name, schema in SCHEMAS.items()}

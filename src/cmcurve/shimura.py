@@ -93,9 +93,10 @@ class LevelPoint:
     """The class [tau, a] at level N.
 
     Construction requires the adelic coordinate to reduce invertibly mod N.
-    Operations that conjugate through the orbit frame (q, p; 0, 1) check
-    the frame separately (frame_compatible): renormalized representatives
-    of the same point may carry frames that meet the level.
+    Operations that conjugate through the orbit frame (q, p; 0, 1), such as
+    to_base_frame and galois.shadow_act, check the frame separately:
+    renormalized representatives of the same point may carry frames that
+    meet the level.
     """
 
     tau: QuadPoint
@@ -106,12 +107,6 @@ class LevelPoint:
         if self.level != self.a.level:
             raise ValueError("coordinate level mismatch")
         require_coprime(self.level, self.a.r.den, self.a.r.det_numerator())
-
-    def frame_compatible(self) -> bool:
-        """Whether the orbit frame (q, p; 0, 1) is invertible mod the level;
-        operations that conjugate into the orbit base need this."""
-        tau = self.tau
-        return gcd(tau.p.denominator * tau.q.denominator * tau.q.numerator, self.level) == 1
 
     # -- conveniences ---------------------------------------------------------
 

@@ -21,7 +21,7 @@ from cmcurve.approx import (
     spanning_sample,
     units_mod,
 )
-from cmcurve.errors import RViolation
+from cmcurve.errors import PrecisionObstruction, RViolation
 from cmcurve.galois import (
     GaloisShadow,
     identity_shadow,
@@ -38,6 +38,7 @@ from cmcurve.shimura import (
     act_unit,
     component,
     point_eq,
+    to_base_frame,
 )
 from oracles import all_shadows, pair_witnesses_brute, pair_witnesses_scan
 
@@ -434,7 +435,9 @@ def witness_pairs(rng, n, count):
             continue
         s = ap(m, 0, 1, n, rational=r, unit=random_unit(rng, n))
         s = ApproxPoint(act_rational(rng.choice(moves), s.point))
-        if not s.point.frame_compatible():
+        try:
+            to_base_frame(s.point)
+        except PrecisionObstruction:
             continue
         if len(pairs) % 2:
             t = shadow_act_approx(random_shape_shadow(rng, m, n), s)

@@ -8,13 +8,16 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmcurve import cli, verify
 from cmcurve.adele import AdelicMatrix, UnitPart
 from cmcurve.errors import LevelObstruction, NormObstruction, PrecisionObstruction, UnsupportedOrbit
 from cmcurve.matrices import Mat2
 from cmcurve.serialize import (
+    ACCEPTS,
     SCHEMAS,
+    acceptor,
     adelic_from_json,
     adelic_to_json,
     frac_from_json,
@@ -451,6 +454,105 @@ class TestSchemas:
         assert capsys.readouterr().err == f"error: input does not match schema {name}: {message}\n"
 
 
+# values near the ones the schemas ask for: bools and floats where integers
+# go, integers past the 2**64 cap, and arrays of the wrong length
+NEAR_VALUES = [
+    0, 1, -1, 2, 5, 2**64, 2**64 + 1, 2**70, -(2**70),
+    True, False, 1.0, 2.0, -1.0, 1.5, "1", None,
+    [], {}, [1, 1], [1, 1.0], [True, 1], [1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1.0], [[1, 1]] * 4,
+]
+
+
+@st.composite
+def near_requests(draw):
+    """(command, request): a valid request with one to three edits, each at a
+    drawn node: a value replaced, a key or item deleted, a key or item added."""
+    def near():
+        # a copy, since a later edit may descend into it
+        return copy.deepcopy(draw(st.sampled_from(NEAR_VALUES)))
+
+    cmd = draw(st.sampled_from(sorted(VALID_REQUESTS)))
+    payload = copy.deepcopy(VALID_REQUESTS[cmd])
+    for _ in range(draw(st.integers(1, 3))):
+        node = payload
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+                node = node[key]
+                continue
+            edit = draw(st.sampled_from(("replace", "delete", "add")))
+            if edit == "replace":
+                node[key] = near()
+            elif edit == "delete":
+                del node[key]
+            elif isinstance(node, dict):
+                node[draw(st.sampled_from(("extra", "level", "m")))] = near()
+            else:
+                node.append(near())
+            break
+    return cmd, payload
+
+
+def is_plain(value):
+    """No float anywhere: JSON that the acceptance predicates decide exactly
+    as the schema does."""
+    if isinstance(value, dict):
+        return all(is_plain(v) for v in value.values())
+    if isinstance(value, list):
+        return all(is_plain(v) for v in value)
+    return type(value) is not float
+
+
+class TestAcceptancePredicates:
+    """serialize.ACCEPTS holds only on requests the schema accepts, so a
+    request it passes may skip the validator."""
+
+    @pytest.mark.parametrize("cmd", sorted(VALID_REQUESTS))
+    def test_valid_request_accepted(self, cmd):
+        assert ACCEPTS[cmd.replace("-", "_")](VALID_REQUESTS[cmd]) is True
+
+    @pytest.mark.parametrize(
+        "cmd, path, value",
+        REJECTED,
+        ids=[f"{cmd}:{'.'.join(map(str, path))}={'del' if v is DELETE else json.dumps(v)}"
+             for cmd, path, v in REJECTED],
+    )
+    def test_mutation_refused(self, cmd, path, value):
+        assert ACCEPTS[cmd.replace("-", "_")](mutated(VALID_REQUESTS[cmd], path, value)) is False
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_requests())
+    def test_never_looser_than_jsonschema(self, request):
+        cmd, payload = request
+        name = cmd.replace("-", "_")
+        valid = jsonschema.Draft202012Validator(SCHEMAS[name]).is_valid(payload)
+        accepted = ACCEPTS[name](payload)
+        assert valid or not accepted
+        # jsonschema takes 2.0 for an integer; the predicates refuse floats
+        if is_plain(payload):
+            assert accepted == valid
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "string"},
+            {"type": "number"},
+            {"type": "integer", "pattern": "^1$"},
+            {"type": "object", "properties": {"a": {"type": "string", "pattern": "^1$"}}},
+            {"type": "array", "items": {"exclusiveMinimum": 0}},
+            {"type": "array", "prefixItems": [{"type": "integer"}, {"$ref": "#"}]},
+            {"type": "object", "additionalProperties": {"type": "integer"}},
+            {"enum": [[1, 1]]},
+        ],
+    )
+    def test_unimplemented_keyword_raises(self, schema):
+        with pytest.raises(ValueError, match="no acceptance predicate"):
+            acceptor(schema)
+
+
 class TestShadowBoundary:
     """A shadow the library constructor refuses is malformed input (exit 2),
     never an obstruction met while acting with it."""
@@ -558,6 +660,83 @@ class TestSeedEnvironment:
         assert cli.build_parser().parse_args(["verify", "lift"]).seed == 3
         monkeypatch.setenv("CMCURVE_SEED", "abc")
         assert cli.build_parser().parse_args(["verify", "lift", "--seed", "5"]).seed == 5
+
+
+# (argv, CMCURVE_SEED or None): help, usage errors and seed errors, none of
+# which runs a command
+PARSER_CASES = [
+    ([], None), (["-h"], None), (["--help"], None), (["bogus"], None),
+    (["orbi"], None), (["--in", "x"], None),
+    *(([cmd, "--help"], None) for cmd in cli.COMMANDS),
+    (["orbit", "--bogus"], None), (["act", "--in"], None),
+    (["verify"], None), (["verify", "nosuch"], None), (["verify", "all", "--seed", "x"], None),
+    (["point-eq", "extra"], None),
+    (["verify", "lift"], "abc"),
+]
+
+
+def main_outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestLoneParser:
+    """main parses a command's argv with that command's parser alone; its exit
+    code, stdout and stderr are those of the parser with every command."""
+
+    @pytest.mark.parametrize(
+        "argv, seed", PARSER_CASES, ids=[" ".join(a) + (f" seed={e}" if e else "") for a, e in PARSER_CASES]
+    )
+    def test_same_as_whole_parser(self, capsys, monkeypatch, argv, seed):
+        if seed is not None:
+            monkeypatch.setenv("CMCURVE_SEED", seed)
+        whole = cli.build_parser
+        built = []
+
+        def spy(only=None):
+            built.append(only)
+            return whole(only)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        lone = main_outcome(argv, capsys)
+        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: whole())
+        assert lone == main_outcome(argv, capsys)
+        assert lone[0] in (0, cli.EXIT_BAD_INPUT)
+
+    def test_lone_parser_holds_one_subparser(self):
+        sub = next(a for a in cli.build_parser("orbit")._actions if a.dest == "command")
+        assert list(sub.choices) == ["orbit"]
+
+
+class TestImportHygiene:
+    """Valid requests never load jsonschema; rejected ones keep its message."""
+
+    def test_valid_request_leaves_jsonschema_unloaded(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(VALID_REQUESTS["orbit"]))
+        code = (
+            "import sys\n"
+            "import cmcurve.cli as cli\n"
+            "code = cli.main(['orbit', '--in', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'jsonschema' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src), str(out)], capture_output=True, text=True
+        )
+        assert proc.stdout == "0 False\n", proc.stderr
+        assert json.loads(out.read_text())["n"] == 5
+
+    def test_schema_violation_keeps_jsonschema_message(self):
+        payload = mutated(VALID_REQUESTS["fixed"], ("point", "level"), DELETE)
+        message = schema_message("fixed", payload)
+        proc = run_cli(["fixed"], payload)
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert proc.stderr == f"error: input does not match schema fixed: {message}\n"
 
 
 class TestCoverageAudit:

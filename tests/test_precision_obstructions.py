@@ -114,7 +114,6 @@ def test_frame_checks_name_the_same_prime(p, q, prime):
     P = LevelPoint(QuadPoint(1, p, q), AdelicMatrix.identity(N), N)
     assert _prime(to_base_frame, P) == prime
     assert _prime(shadow_act, identity_shadow((1,), N), P) == prime
-    assert P.frame_compatible() == (prime is None)
 
 
 @pytest.mark.parametrize(
