@@ -32,9 +32,12 @@ from cmcurve.shimura import LevelPoint, QuadPoint
 
 
 def run_cli(argv, payload=None):
+    """The CLI in a subprocess; a str payload goes to stdin as it is."""
+    if payload is not None and not isinstance(payload, str):
+        payload = json.dumps(payload)
     proc = subprocess.run(
         [sys.executable, "-m", "cmcurve.cli", *argv],
-        input=json.dumps(payload) if payload is not None else None,
+        input=payload,
         capture_output=True,
         text=True,
     )
@@ -264,6 +267,35 @@ class TestTotalCli:
         proc = self.run_timed(["orbit"], {"tau": {"m": m, "p": [1, 1], "q": [2, 1]}})
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["cm"] is True
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_out_exit_two(self, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+        proc = run_cli(["orbit", "--out", str(out)], VALID_REQUESTS["orbit"])
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert proc.stderr.startswith("error: cannot write output: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_verify_out_exit_two(self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.setitem(verify.SUITES, "shadows", [("trivial", lambda cfg: {})])
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "rep.json"
+        assert cli.main(["verify", "shadows", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200000,
+            '{"tau": {"m": 5, "p": [1, 1], "q": [2, 1]}, "other": ' + "[" * 990 + "1" + "]" * 990 + "}",
+        ],
+        ids=["unclosed 200000 deep", "other 990 deep"],
+    )
+    def test_deeply_nested_json_exit_two(self, text):
+        proc = run_cli(["orbit"], text)
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert proc.stderr.startswith("error: cannot read JSON input: ")
+        assert "Traceback" not in proc.stderr
 
 
 # -- schema accept/reject table --------------------------------------------------
@@ -716,27 +748,23 @@ def main_outcome(argv, capsys):
     return code, captured.out, captured.err
 
 
+# The class keeps the name it had when main built a lone subparser for these
+# argv, so that its test ids stay stable.
 class TestLoneParser:
-    """main parses a command's argv with that command's parser alone; its exit
-    code, stdout and stderr are those of the parser with every command."""
+    """Help, usage and seed errors are the whole parser's: main's exit code,
+    stdout and stderr on each equal the parser's own, and the pinned digests."""
 
     @pytest.mark.parametrize("argv, seed", PARSER_CASES, ids=PARSER_CASE_IDS)
     def test_same_as_whole_parser(self, capsys, monkeypatch, argv, seed):
         if seed is not None:
             monkeypatch.setenv("CMCURVE_SEED", seed)
-        whole = cli.build_parser
-        built = []
-
-        def spy(only=None):
-            built.append(only)
-            return whole(only)
-
-        monkeypatch.setattr(cli, "build_parser", spy)
-        lone = main_outcome(argv, capsys)
-        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
-        monkeypatch.setattr(cli, "build_parser", lambda only=None: whole())
-        assert lone == main_outcome(argv, capsys)
-        assert lone[0] in (0, cli.EXIT_BAD_INPUT)
+        assert cli._request_args(argv) is None
+        outcome = main_outcome(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert outcome == (exc.value.code, captured.out, captured.err)
+        assert outcome[0] in (0, cli.EXIT_BAD_INPUT)
 
     @pytest.mark.skipif(
         sys.version_info[:2] != PINNED_PYTHON, reason="argparse wording differs between Python versions"
@@ -750,13 +778,65 @@ class TestLoneParser:
         blob = json.dumps(list(main_outcome(argv, capsys)))
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PINNED_PARSER_OUTCOMES[case]
 
-    def test_lone_parser_holds_one_subparser(self):
-        sub = next(a for a in cli.build_parser("orbit")._actions if a.dest == "command")
-        assert list(sub.choices) == ["orbit"]
+
+REQUEST_COMMANDS = [name for name in cli.COMMANDS if name != "verify"]
+ARGV_TOKENS = [
+    *cli.COMMANDS, "--in", "--out", "--i", "--in=x", "-", "", "x", "-5", "--", "-h", "a b",
+]
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    # a token, then (token, token) pairs: the shape the reader accepts
+    st.builds(
+        lambda head, pairs: [head, *(t for pair in pairs for t in pair)],
+        st.sampled_from(ARGV_TOKENS),
+        st.lists(st.tuples(st.sampled_from(ARGV_TOKENS), st.sampled_from(ARGV_TOKENS)), max_size=2),
+    ),
+)
+
+
+def parsed_request(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.handler, args.infile, args.outfile
+
+
+class TestRequestArgv:
+    """main reads a request command's --in/--out argv itself: whatever it
+    accepts, it reads as the whole parser does."""
+
+    @pytest.mark.parametrize("cmd", REQUEST_COMMANDS)
+    def test_bare_command_accepted(self, cmd):
+        args = cli._request_args([cmd])
+        assert (args.handler, args.infile, args.outfile) == parsed_request([cmd])
+
+    def test_every_flag_and_value_pair(self):
+        pairs = [(f, v) for f in ("--in", "--out") for v in ("-", "", "x", "a b", "orbit")]
+        for cmd in REQUEST_COMMANDS:
+            for first in pairs:
+                for rest in [(), *pairs]:
+                    argv = [cmd, *first, *rest]
+                    args = cli._request_args(argv)
+                    assert (args.handler, args.infile, args.outfile) == parsed_request(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "all"], ["orbit", "--in"], ["orbit", "--i", "x"], ["orbit", "--in=x"],
+         ["orbit", "--in", "-5"], ["orbit", "--", "x"], ["orbit", "-h"], ["orbit", "x"]],
+        ids=" ".join,
+    )
+    def test_other_argv_left_to_the_parser(self, argv):
+        assert cli._request_args(argv) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARGVS)
+    def test_agrees_with_whole_parser(self, argv):
+        args = cli._request_args(argv)
+        if args is not None:
+            assert (args.handler, args.infile, args.outfile) == parsed_request(argv)
 
 
 class TestImportHygiene:
-    """Valid requests never load jsonschema; rejected ones keep its message."""
+    """Valid requests load neither jsonschema nor argparse nor the verify
+    suites; rejected ones keep jsonschema's message."""
 
     def test_valid_request_leaves_jsonschema_unloaded(self, tmp_path):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
@@ -765,12 +845,12 @@ class TestImportHygiene:
             "import sys\n"
             "import cmcurve.cli as cli\n"
             "code = cli.main(['orbit', '--in', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(code, 'jsonschema' in sys.modules)\n"
+            "print(code, *(m in sys.modules for m in ('jsonschema', 'argparse', 'cmcurve.verify')))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(src), str(out)], capture_output=True, text=True
         )
-        assert proc.stdout == "0 False\n", proc.stderr
+        assert proc.stdout == "0 False False False\n", proc.stderr
         assert json.loads(out.read_text())["n"] == 5
 
     def test_schema_violation_keeps_jsonschema_message(self):
