@@ -1,20 +1,20 @@
 """Command-line front end: JSON in, JSON out, verification suites.
 
 Exit codes: 0 success, 1 check failure, 2 malformed input, 3 obstruction.
+Input that cannot be read or is nested too deeply for the JSON decoder, and
+an --out that cannot be written, are malformed input.
 Each request is checked against its JSON Schema 2020-12 in
 cmcurve.serialize.SCHEMAS.  A request that the schema's acceptance predicate
 (cmcurve.serialize.ACCEPTS) passes goes straight on: valid requests never
 load jsonschema.  Any other request goes to a jsonschema validator, which
 either accepts it after all or words the rejection.  The schemas themselves
 are constants, meta-checked by the test suite rather than on every request.
-main reads an argv of the form `CMD (--in|--out VALUE)*`, CMD one of the six
-request commands and VALUE `-` or not starting with `-`, by itself, as argparse
-would; every other argv (help, usage errors, verify) goes unchanged to the
-whole argparse parser.  So a request loads neither argparse nor the verify
-suites.  Every level, the `project` target of `act`, every `tau.m` and every
-shadow support entry is an integer from 1 to 2**64: each is factored in full,
-so a larger one is rejected (exit 2) instead of being factored for an
-unbounded time.
+main reads a request command's --in/--out argv itself (_request_args) and
+hands any other argv (help, usage errors, verify) to the whole argparse
+parser, so a request loads neither argparse nor the verify suites.  Every
+level, the `project` target of `act`, every `tau.m` and every shadow support
+entry is an integer from 1 to 2**64: each is factored in full, so a larger
+one is rejected (exit 2) instead of being factored for an unbounded time.
 """
 
 from __future__ import annotations
