@@ -224,8 +224,7 @@ def shape_test(mat, kind: ShapeKind):
     """
     m = kind.m
     if isinstance(mat, ModMat):
-        n = mat.n
-        a, b, c, d = mat.entries
+        a, b, c, d, n = mat
         if kind.branch == 1:
             ok = (d - a) % n == 0 and (b + m * c) % n == 0
             witness = (a, (-c) % n)
@@ -284,8 +283,8 @@ def in_gamma_tilde(mat: ModMat, n: int) -> bool:
 
 def conj_by_dlambda(h: ModMat, lam: int) -> ModMat:
     """d_lambda^{-1} * h * d_lambda: (a, b; c, d) -> (a, b/lambda; lambda*c, d)."""
-    n = h.n
+    a, b, c, d, n = h
     if gcd(lam, n) != 1:
         raise ValueError("lambda must be a unit")
     li = pow(lam, -1, n)
-    return ModMat(h.a, h.b * li, h.c * lam, h.d, n)
+    return ModMat(a, b * li, c * lam, d, n)

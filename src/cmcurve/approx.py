@@ -143,9 +143,10 @@ def pair_witnesses(s: ApproxPoint, t: ApproxPoint) -> dict:
 
 # The reuse is inside one lift_automorphism call (each row's pair is asked
 # for twice, the first row's once per row).  Across calls keys seldom repeat
-# (1.2 % hits at 2^14 entries on a warm mixed workload), and each entry pins
-# two points and their witness sets, about 0.9 kB.
-@lru_cache(maxsize=1 << 10)
+# (1.2 % hits at 2^14 entries on a warm mixed workload, 0.8 % at 2^10 and
+# 0.6 % at 2^8), and each entry pins two points and their witness sets,
+# about 0.9 kB.
+@lru_cache(maxsize=1 << 8)
 def _pair_witnesses_cached(s: ApproxPoint, t: ApproxPoint):
     n = s.level
     m = s.orbit
@@ -172,9 +173,8 @@ def _shape_twists(left: ModMat, right: ModMat, m: int) -> dict:
     progressions mod N, and the work is bounded by their size, not by
     phi(N).  A shape of both branches keeps +1, as shape_branch decides.
     """
-    n = left.n
-    l11, l12, l21, l22 = left.entries
-    r11, r12, r21, r22 = right.entries
+    l11, l12, l21, l22, n = left
+    r11, r12, r21, r22, _ = right
     pa, pb, pc, pd = l11 * r11, l11 * r12, l21 * r11, l21 * r12
     qa, qb, qc, qd = l12 * r21, l12 * r22, l22 * r21, l22 * r22
     out = {}

@@ -15,6 +15,8 @@ parser, so a request loads neither argparse nor the verify suites.  Every
 level, the `project` target of `act`, every `tau.m` and every shadow support
 entry is an integer from 1 to 2**64: each is factored in full, so a larger
 one is rejected (exit 2) instead of being factored for an unbounded time.
+Every other request integer lies within +-2**512 (serialize.INT_BOUND), so
+no answer reaches the interpreter's limit on int-to-str conversion.
 """
 
 from __future__ import annotations

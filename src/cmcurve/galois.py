@@ -22,7 +22,6 @@ from .adele import (
     ShapeKind,
     shape_branch,
     shape_matrix,
-    shape_matrix_mod,
     shape_test,
     unit_leftmul,
 )
@@ -97,12 +96,12 @@ class GaloisShadow:
     def _trusted(cls, support: tuple, components: tuple, branch: int, det: int, level: int):
         """A shadow from fields already known to pass __post_init__, stored
         as given with no check."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "level", level)
+        self = _new_obj(cls)
+        _set_support(self, support)
+        _set_components(self, components)
+        _set_branch(self, branch)
+        _set_det(self, det)
+        _set_level(self, level)
         return self
 
     def component_for(self, m: int) -> ModMat:
@@ -110,6 +109,13 @@ class GaloisShadow:
             return self.components[self.support.index(m)]
         except ValueError:
             raise UnsupportedOrbit(m) from None
+
+
+_new_obj = object.__new__
+# the slots' own setters, which the frozen class's __setattr__ does not reach
+_set_support, _set_components, _set_branch, _set_det, _set_level = (
+    getattr(GaloisShadow, slot).__set__ for slot in GaloisShadow.__slots__
+)
 
 
 def identity_shadow(support, level: int) -> GaloisShadow:
@@ -387,6 +393,7 @@ def surjective_common_det(support, level: int) -> dict:
             row.append((pe, idem, *_norm_residue_table(m, p, e, roots)))
     out = {}
     units = units_mod(level) if level > 1 else [1]  # level 1 keeps its key 1, not 0
+    new_modmat = tuple.__new__
     for lam in units:
         comps = []
         for m, row in zip(support, rows):
@@ -395,7 +402,10 @@ def surjective_common_det(support, level: int) -> dict:
                 r = lam % pe
                 x += xs[r] * idem
                 y += ys[r] * idem
-            comps.append(shape_matrix_mod(x, y, m, 1, level))
+            # the branch +1 shape (x, m*y; -y, x) with its entries reduced,
+            # built as ModMat(x, m * y, -y, x, level) would build it
+            x %= level
+            comps.append(new_modmat(ModMat, (x, m * y % level, -y % level, x, level)))
         # det is lam's own object, or 1 % 1 = 0 at level 1
         out[lam] = GaloisShadow._trusted(support, tuple(comps), 1, lam if level > 1 else 0, level)
     return out

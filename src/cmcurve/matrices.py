@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .numth import ext_gcd, require_coprime
 
@@ -175,76 +176,92 @@ def _entry(num: int, den: int) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-class ModMat:
-    """2x2 matrix over Z/N, N >= 1.  Entries stored in [0, N)."""
+class ModMat(tuple):
+    """2x2 matrix over Z/N, N >= 1: the tuple (a, b, c, d, n), entries
+    stored in [0, N).
 
-    __slots__ = ("a", "b", "c", "d", "n")
+    A tuple, so construction, hash and unpacking run in the tuple's C code;
+    hot loops unpack it (a, b, c, d, n = m) rather than read the read-only
+    views.  A ModMat equals only another ModMat, and the tuple's
+    concatenation, repetition and ordering are switched off.
+    """
 
-    def __init__(self, a, b, c, d, n):
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d, n):
         if n < 1:
             raise ValueError("modulus must be >= 1")
         a %= n
         d %= n
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b % n)
-        object.__setattr__(self, "c", c % n)
         # branch +1 shapes have a = d: one int object serves both, which
         # saves an object per component in a batch of phi(N) shadows
-        object.__setattr__(self, "d", a if a == d else d)
+        return _new_tuple(cls, (a, b % n, c % n, a if a == d else d, n))
 
-    def __setattr__(self, *args):
-        raise AttributeError("ModMat is immutable")
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
+    n = property(itemgetter(4))
 
     @property
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return self[:4]
 
     def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.n
+        a, b, c, d, n = self
+        return (a * d - b * c) % n
 
     def is_unit(self) -> bool:
-        return gcd(self.det(), self.n) == 1
+        a, b, c, d, n = self
+        return gcd(a * d - b * c, n) == 1
 
     def __mul__(self, other: "ModMat") -> "ModMat":
-        if self.n != other.n:
+        a, b, c, d, n = self
+        p, q, r, s, m = other
+        if n != m:
             raise ValueError("modulus mismatch")
-        return ModMat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.n,
-        )
+        x = (a * p + b * r) % n
+        w = (c * q + d * s) % n
+        return _new_tuple(ModMat, (x, (a * q + b * s) % n, (c * p + d * r) % n, x if x == w else w, n))
 
     def inv(self) -> "ModMat":
-        det = self.det()
-        if gcd(det, self.n) != 1:
-            raise ZeroDivisionError(f"determinant {det} not a unit mod {self.n}")
-        di = pow(det, -1, self.n)
-        return ModMat(self.d * di, -self.b * di, -self.c * di, self.a * di, self.n)
+        a, b, c, d, n = self
+        det = (a * d - b * c) % n
+        if gcd(det, n) != 1:
+            raise ZeroDivisionError(f"determinant {det} not a unit mod {n}")
+        di = pow(det, -1, n)
+        x = d * di % n
+        w = a * di % n
+        return _new_tuple(ModMat, (x, -b * di % n, -c * di % n, x if x == w else w, n))
 
     def scalar_mul(self, k: int) -> "ModMat":
-        return ModMat(self.a * k, self.b * k, self.c * k, self.d * k, self.n)
+        a, b, c, d, n = self
+        return ModMat(a * k, b * k, c * k, d * k, n)
 
     def reduce(self, m: int) -> "ModMat":
         """Further reduction mod m for m | n (or m == n)."""
-        if m < 1 or self.n % m != 0:
-            raise ValueError(f"{m} does not divide modulus {self.n}")
-        return ModMat(self.a, self.b, self.c, self.d, m)
+        a, b, c, d, n = self
+        if m < 1 or n % m != 0:
+            raise ValueError(f"{m} does not divide modulus {n}")
+        return ModMat(a, b, c, d, m)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModMat)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
+        return type(other) is ModMat and _tuple_eq(self, other)
 
-    def __hash__(self):
-        return hash(("ModMat", self.n) + self.entries)
+    def __ne__(self, other) -> bool:
+        return type(other) is not ModMat or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+    # a matrix is no sequence: m + m, 2 * m and m < m raise TypeError
+    __add__ = __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __repr__(self):
-        return f"ModMat({self.a}, {self.b}, {self.c}, {self.d}, mod={self.n})"
+        return "ModMat({}, {}, {}, {}, mod={})".format(*self)
+
+
+_new_tuple = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
 
 
 # -- common constant matrices ----------------------------------------------
@@ -274,12 +291,11 @@ def sl2_lift(m: ModMat) -> Mat2:
     it by the extended gcd, then corrects the top row by a multiple of the
     bottom one.
     """
-    n = m.n
+    a, b, c, d, n = m
     if n == 1:  # the construction below would give (0, -1; 1, 0)
         return IDENTITY
     if m.det() != 1 % n:
         raise ValueError("matrix does not have determinant 1 mod n")
-    a, b, c, d = m.entries
     c0 = c if c != 0 else n
     d0 = d
     k = 0
@@ -293,7 +309,7 @@ def sl2_lift(m: ModMat) -> Mat2:
     t = (y * (a - a1) + x * (b - b1)) % n
     a2 = a1 + t * c0
     b2 = b1 + t * d1
-    if a2 * d1 - b2 * c0 != 1 or (a2 % n, b2 % n, c0 % n, d1 % n) != m.entries:
+    if a2 * d1 - b2 * c0 != 1 or (a2 % n, b2 % n, c0 % n, d1 % n) != (a, b, c, d):
         raise ArithmeticError(f"sl2_lift produced no lift of {m}")  # pragma: no cover
     return _new(a2, b2, c0, d1, 1)
 

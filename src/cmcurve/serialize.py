@@ -136,12 +136,16 @@ def _object(required: dict, optional: dict | None = None) -> dict:
     }
 
 
-_INT = {"type": "integer"}
-_POSITIVE = {"type": "integer", "minimum": 1}
 # every level, orbit m and support entry is fully factored when a point or
 # shadow is built, so each is capped well above any the suites or the
 # benchmark use
 _CAPPED = {"type": "integer", "minimum": 1, "maximum": 2**64}
+# every other request integer is bounded too, so that no integer an answer
+# carries (a product of a few inputs) nears the interpreter's 4,300-digit
+# limit on int-to-str conversion, which json.dumps would hit after the work
+INT_BOUND = 2**512
+_INT = {"type": "integer", "minimum": -INT_BOUND, "maximum": INT_BOUND}
+_POSITIVE = {"type": "integer", "minimum": 1, "maximum": INT_BOUND}
 _BOOL = {"type": "boolean"}
 _FRACTION = {"type": "array", "prefixItems": [_INT, _POSITIVE], "minItems": 2, "maxItems": 2}
 _INTMAT = _array(_INT, 4)

@@ -244,6 +244,41 @@ class FractionMat2:
         return ModMat(*vals, n)
 
 
+class PlainModMat:
+    """A 2x2 matrix mod n as four plain ints in [0, n) beside n, with the
+    textbook formulas: the oracle for ModMat.  The inverse finds the
+    determinant's inverse by a scan of the residues, not by pow."""
+
+    def __init__(self, a, b, c, d, n):
+        self.entries = (a % n, b % n, c % n, d % n)
+        self.n = n
+
+    def __mul__(self, other: "PlainModMat") -> "PlainModMat":
+        a, b, c, d = self.entries
+        p, q, r, s = other.entries
+        return PlainModMat(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, self.n)
+
+    def det(self) -> int:
+        a, b, c, d = self.entries
+        return (a * d - b * c) % self.n
+
+    def inv(self) -> "PlainModMat":
+        n, det = self.n, self.det()
+        k = next((k for k in range(n) if det * k % n == 1 % n), None)
+        if k is None:
+            raise ZeroDivisionError(f"determinant {det} not a unit mod {n}")
+        a, b, c, d = self.entries
+        return PlainModMat(d * k, -b * k, -c * k, a * k, n)
+
+    def scalar_mul(self, k: int) -> "PlainModMat":
+        return PlainModMat(*(x * k for x in self.entries), self.n)
+
+    def reduce(self, m: int) -> "PlainModMat":
+        if m < 1 or self.n % m:
+            raise ValueError(f"{m} does not divide modulus {self.n}")
+        return PlainModMat(*self.entries, m)
+
+
 def _common_prime(a: int, n: int) -> int:
     """Smallest prime dividing gcd(a, n), by trial division."""
     g = gcd(a, n)

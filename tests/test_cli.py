@@ -17,6 +17,7 @@ from cmcurve.errors import LevelObstruction, NormObstruction, PrecisionObstructi
 from cmcurve.matrices import Mat2
 from cmcurve.serialize import (
     ACCEPTS,
+    INT_BOUND,
     SCHEMAS,
     acceptor,
     adelic_from_json,
@@ -297,6 +298,24 @@ class TestTotalCli:
         assert proc.stderr.startswith("error: cannot read JSON input: ")
         assert "Traceback" not in proc.stderr
 
+    def test_long_numerator_rejected_before_work(self):
+        # valid but for its size: the answer was computed, and then its
+        # 4,400-digit norm_matrix_det overran the int-to-str limit in _emit
+        p = int("7" * 2200)
+        proc = self.run_timed(["orbit"], {"tau": {"m": 5, "p": [p, 1], "q": [2, 1]}})
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: input does not match schema orbit: {p} is greater than the maximum of {INT_BOUND}\n"
+        )
+
+    @pytest.mark.parametrize("cmd", ["point-eq", "orbit", "fixed", "act", "relation", "lift"])
+    def test_integers_at_bound_answer(self, cmd):
+        proc = self.run_timed([cmd], AT_BOUND_REQUESTS[cmd])
+        assert proc.returncode in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_OBSTRUCTED), proc.stderr
+        if proc.returncode != cli.EXIT_OBSTRUCTED:
+            assert isinstance(json.loads(proc.stdout), dict)
+
 
 # -- schema accept/reject table --------------------------------------------------
 
@@ -329,6 +348,57 @@ VALID_REQUESTS = {
         ]
     },
 }
+
+# requests with their integers at or next to the bounds: INT_BOUND for
+# fraction parts, delta, det and integer-matrix entries, and just under 2**64
+# for the level, m and the support
+LEVEL_AT_BOUND = 2**64 - 59  # the largest prime below 2**64
+M_AT_BOUND = 2**64 - 1  # square-free: 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+
+
+def _lift_to_bound(x):
+    """The largest integer up to INT_BOUND that is x mod LEVEL_AT_BOUND."""
+    x %= LEVEL_AT_BOUND
+    return x + (INT_BOUND - x) // LEVEL_AT_BOUND * LEVEL_AT_BOUND
+
+
+def _at_bound_requests():
+    B = INT_BOUND
+    sl2 = [B - 1, B, B - 2, B - 1]  # determinant 1
+    tau = {"m": M_AT_BOUND, "p": [B, B - 1], "q": [B - 1, B]}
+    adelic = {
+        "r": [[B, B - 1], [B - 1, B], [-B, B - 3], [B - 5, B]],
+        "delta": B,
+        "s": sl2,
+        "level": LEVEL_AT_BOUND,
+    }
+    point = {"tau": tau, "a": adelic, "level": LEVEL_AT_BOUND}
+    x, y, m = B, B - 1, M_AT_BOUND
+    shadow = {
+        "support": [m],
+        "components": [[_lift_to_bound(v) for v in (x, m * y, -y, x)]],
+        "branch": 1,
+        "det": _lift_to_bound(x * x + m * y * y),
+        "level": LEVEL_AT_BOUND,
+    }
+    return {
+        "point-eq": {"p1": point, "p2": dict(point, a=dict(adelic, delta=-B))},
+        "orbit": {"tau": tau, "other": dict(tau, p=[-B, B - 1])},
+        "fixed": {"g": [B, -B, B - 1, B], "point": point},
+        "act": {
+            "point": dict(point, canonical=True),
+            "unit": sl2,
+            "rational": sl2,
+            "shadow": shadow,
+            "project": LEVEL_AT_BOUND,
+            "canonicalize": True,
+        },
+        "relation": {"s1": point, "s2": point, "t1": point, "t2": point},
+        "lift": {"table": [{"s": point, "t": point}]},
+    }
+
+
+AT_BOUND_REQUESTS = _at_bound_requests()
 
 # where each request carries a level point
 POINT_PATHS = {
@@ -487,10 +557,47 @@ class TestSchemas:
         assert capsys.readouterr().err == f"error: input does not match schema {name}: {message}\n"
 
 
+# one path for each kind of integer bounded by INT_BOUND, with the sign of
+# the bound tested there
+BOUNDED_PATHS = [
+    ("orbit", ("tau", "p", 0), -1),
+    ("orbit", ("other", "q", 1), 1),
+    ("fixed", ("g", 2), 1),
+    ("fixed", ("point", "a", "delta"), -1),
+    ("fixed", ("point", "a", "s", 0), 1),
+    ("point-eq", ("p1", "a", "r", 3, 0), -1),
+    ("point-eq", ("p2", "a", "r", 3, 1), 1),
+    ("act", ("shadow", "det"), 1),
+    ("act", ("shadow", "components", 0, 1), -1),
+    ("act", ("unit", 3), 1),
+]
+
+
+class TestIntegerBound:
+    @pytest.mark.parametrize(
+        "cmd, path, sign", BOUNDED_PATHS, ids=[f"{c}:{'.'.join(map(str, p))}" for c, p, _ in BOUNDED_PATHS]
+    )
+    def test_bound_is_inclusive(self, tmp_path, capsys, cmd, path, sign):
+        name = cmd.replace("-", "_")
+        at = mutated(VALID_REQUESTS[cmd], path, sign * INT_BOUND)
+        assert schema_message(cmd, at) is None
+        assert ACCEPTS[name](at) is True
+        beyond = mutated(VALID_REQUESTS[cmd], path, sign * (INT_BOUND + 1))
+        if sign > 0:
+            message = f"{INT_BOUND + 1} is greater than the maximum of {INT_BOUND}"
+        else:
+            message = f"{-INT_BOUND - 1} is less than the minimum of {-INT_BOUND}"
+        assert schema_message(cmd, beyond) == message
+        assert ACCEPTS[name](beyond) is False
+        assert main_in_process(tmp_path, cmd, beyond) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: input does not match schema {name}: {message}\n"
+
+
 # values near the ones the schemas ask for: bools and floats where integers
-# go, integers past the 2**64 cap, and arrays of the wrong length
+# go, integers past the 2**64 cap and past INT_BOUND, and arrays of the wrong
+# length
 NEAR_VALUES = [
-    0, 1, -1, 2, 5, 2**64, 2**64 + 1, 2**70, -(2**70),
+    0, 1, -1, 2, 5, 2**64, 2**64 + 1, 2**70, -(2**70), INT_BOUND + 1, -INT_BOUND - 1,
     True, False, 1.0, 2.0, -1.0, 1.5, "1", None,
     [], {}, [1, 1], [1, 1.0], [True, 1], [1, 1, 1], [1, 0, 0, 1], [1, 0, 0, 1.0], [[1, 1]] * 4,
 ]

@@ -8,7 +8,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmcurve import galois
+from cmcurve import adele, galois
 from cmcurve.adele import ShapeKind, shape_matrix_mod, shape_test
 from cmcurve.errors import LevelObstruction, NormObstruction, UnsupportedOrbit
 from cmcurve.galois import (
@@ -564,3 +564,28 @@ class TestTrustedShadows:
             monkeypatch.setattr(galois, name, counting(name, getattr(galois, name)))
         assert len(surjective_common_det((1, 2), 1009)) == 1008
         assert calls == {"shape_test": 0, "is_squarefree": 2}
+
+    def test_components_skip_the_public_constructors(self, monkeypatch):
+        # each component is built as its reduced tuple: no shape_matrix_mod
+        # call and no ModMat.__new__ (the sums are reduced once, here)
+        calls = {"shape_matrix_mod": 0, "ModMat": 0}
+
+        def shape_matrix_mod(*args):
+            calls["shape_matrix_mod"] += 1
+            return adele_shape_matrix_mod(*args)
+
+        def new(cls, *args):
+            calls["ModMat"] += 1
+            return modmat_new(cls, *args)
+
+        adele_shape_matrix_mod = adele.shape_matrix_mod
+        modmat_new = ModMat.__new__
+        monkeypatch.setattr(adele, "shape_matrix_mod", shape_matrix_mod)
+        monkeypatch.setattr(galois, "shape_matrix_mod", shape_matrix_mod, raising=False)
+        monkeypatch.setattr(ModMat, "__new__", new)
+        assert ModMat(1, 0, 0, 1, 5) == identity_mod(5) and calls["ModMat"] == 2
+        calls["ModMat"] = 0
+        shadows = surjective_common_det((1, 2), 1009)
+        assert len(shadows) == 1008
+        assert calls == {"shape_matrix_mod": 0, "ModMat": 0}
+        assert all(type(c) is ModMat for sigma in shadows.values() for c in sigma.components)

@@ -81,6 +81,8 @@ def show(x) -> str:
     if isinstance(x, dict):
         items = sorted((show(k), show(v)) for k, v in x.items())
         return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
+    if isinstance(x, ModMat):  # a tuple, but shown as the matrix it is
+        return repr(x)
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(show(v) for v in x) + "]"
     return repr(x)

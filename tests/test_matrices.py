@@ -1,5 +1,6 @@
 """Mat2 (integer numerators over one common denominator) against the
-Fraction-entry FractionMat2 oracle, plus the algebraic laws."""
+Fraction-entry FractionMat2 oracle, ModMat against the plain-integer
+PlainModMat oracle, plus the algebraic laws and ModMat's value semantics."""
 
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcurve.errors import PrecisionObstruction
-from cmcurve.matrices import IDENTITY, Mat2, ModMat
+from cmcurve.matrices import IDENTITY, Mat2, ModMat, identity_mod
 from cmcurve.numth import require_coprime
-from oracles import FractionMat2, noninvertible_primes_per_entry
+from oracles import FractionMat2, PlainModMat, noninvertible_primes_per_entry
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
@@ -173,3 +174,138 @@ def test_noninvertible_primes_match_per_entry_rule(q, n):
     with pytest.raises(PrecisionObstruction) as e:
         require_coprime(n, m.den, m.det_numerator())
     assert e.value.prime == min(primes)
+
+
+# -- ModMat ------------------------------------------------------------------------
+
+# small entries, and large ones of either sign, so that the reduction matters
+mod_entries = st.one_of(st.integers(-40, 40), st.integers(-(10**30), 10**30))
+mod_quads = st.tuples(mod_entries, mod_entries, mod_entries, mod_entries)
+moduli = st.sampled_from([1, 5, 12, 35, 10007])
+
+
+def same_mod(g, plain):
+    return type(g) is ModMat and g.entries == plain.entries and g.n == plain.n
+
+
+def shares_a_and_d(g):
+    """Equal diagonal entries are one int object (the phi(N) batches)."""
+    return g.a is g.d or g.a != g.d
+
+
+@PROPERTY
+@given(mod_quads, moduli)
+def test_modmat_construction_matches(q, n):
+    g = ModMat(*q, n)
+    assert same_mod(g, PlainModMat(*q, n))
+    assert tuple(g) == (*g.entries, n) and g.entries == (g.a, g.b, g.c, g.d)
+    assert shares_a_and_d(g)
+
+
+@PROPERTY
+@given(mod_quads, mod_quads, moduli)
+def test_modmat_mul_and_det_match(q1, q2, n):
+    g, h = ModMat(*q1, n), ModMat(*q2, n)
+    f1, f2 = PlainModMat(*q1, n), PlainModMat(*q2, n)
+    assert same_mod(g * h, f1 * f2)
+    assert g.det() == f1.det()
+    assert (g * h).det() == g.det() * h.det() % n
+    assert shares_a_and_d(g * h)
+
+
+@PROPERTY
+@given(mod_quads, moduli)
+def test_modmat_inv_matches(q, n):
+    g, f = ModMat(*q, n), PlainModMat(*q, n)
+    try:
+        want = f.inv()
+    except ZeroDivisionError as exc:
+        with pytest.raises(ZeroDivisionError) as got:
+            g.inv()
+        assert str(got.value) == str(exc)
+        assert not g.is_unit()
+        return
+    assert g.is_unit()
+    assert same_mod(g.inv(), want)
+    assert g * g.inv() == identity_mod(n) == g.inv() * g
+    assert shares_a_and_d(g.inv())
+
+
+@PROPERTY
+@given(mod_quads, mod_entries, moduli)
+def test_modmat_scalar_mul_matches(q, k, n):
+    g = ModMat(*q, n).scalar_mul(k)
+    assert same_mod(g, PlainModMat(*q, n).scalar_mul(k))
+    assert shares_a_and_d(g)
+
+
+@PROPERTY
+@given(mod_quads, moduli, st.integers(-3, 40))
+def test_modmat_reduce_matches(q, n, m):
+    g, f = ModMat(*q, n), PlainModMat(*q, n)
+    if m < 1 or n % m:
+        with pytest.raises(ValueError, match=f"{m} does not divide modulus {n}"):
+            g.reduce(m)
+        with pytest.raises(ValueError):
+            f.reduce(m)
+        return
+    assert same_mod(g.reduce(m), f.reduce(m))
+    assert shares_a_and_d(g.reduce(m))
+
+
+@pytest.mark.parametrize("n", [1, 5, 10007])
+def test_modmat_a_and_d_share_one_object(n):
+    x = 10**6 + 3
+    for g in (ModMat(x, 1, 2, x + 5 * n, n), ModMat(x, 0, 0, x, n) * identity_mod(n)):
+        assert g.a is g.d
+    assert ModMat(x, 0, 0, x, n).inv().a is ModMat(x, 0, 0, x, n).inv().d
+
+
+def test_modmat_modulus_checks():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            ModMat(1, 0, 0, 1, n)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        identity_mod(5) * identity_mod(7)
+
+
+class TestModMatValue:
+    """A ModMat is the tuple (a, b, c, d, n), but a value of its own: it equals
+    no plain tuple and has none of the tuple's arithmetic or ordering."""
+
+    def test_never_equals_a_plain_tuple(self):
+        g = ModMat(2, 3, 1, 2, 15)
+        for t in (tuple(g), g.entries, (2, 3, 1, 2, 15)):
+            assert not g == t and not t == g
+            assert g != t and t != g
+        assert g == ModMat(17, 3, 16, 2, 15) and not g != ModMat(17, 3, 16, 2, 15)
+        assert g != ModMat(2, 3, 1, 2, 5)
+        assert g not in {tuple(g)} and g in {ModMat(2, 3, 1, 2, 15)}
+
+    @PROPERTY
+    @given(mod_quads, moduli, st.integers(-3, 3))
+    def test_equal_matrices_hash_alike(self, q, n, k):
+        g = ModMat(*q, n)
+        h = ModMat(*(x + k * n for x in q), n)
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda g: g + g, lambda g: 2 * g, lambda g: g < g, lambda g: g <= g,
+         lambda g: g > g, lambda g: g >= g, lambda g: g.entries + g],
+        ids=["add", "rmul", "lt", "le", "gt", "ge", "radd"],
+    )
+    def test_no_tuple_arithmetic(self, op):
+        with pytest.raises(TypeError):
+            op(ModMat(2, 3, 1, 2, 15))
+
+    def test_immutable(self):
+        g = ModMat(2, 3, 1, 2, 15)
+        for name in ("a", "d", "n", "entries", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+        assert g == ModMat(2, 3, 1, 2, 15)
+
+    def test_repr(self):
+        g = ModMat(2, 3, 1, 2, 15)
+        assert repr(g) == str(g) == "ModMat(2, 3, 1, 2, mod=15)"
