@@ -92,7 +92,9 @@ def _read_input(path, schema_name):
                 data = json.load(fh)
         else:
             data = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: malformed JSON, and also an integer literal longer than
+    # the interpreter's int-to-str digit limit, which json.load refuses
+    except (OSError, ValueError, RecursionError) as exc:
         raise _BadInput(f"cannot read JSON input: {exc}") from exc
     if serialize.ACCEPTS[schema_name](data):
         return data

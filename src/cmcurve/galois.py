@@ -334,18 +334,36 @@ def _norm_residue_table(m: int, p: int, e: int, roots) -> tuple[list, list]:
     """xs, ys with (xs[r], ys[r]) = _norm_residue(m, r, p, e) for every unit r
     mod p^e (0, 0 at the non-units); roots is _canonical_roots(p, e).
 
-    The scan runs y0 upward as _norm_residue does, to the first y0 with
-    r - m*y0^2 a square mod p; a unit is a square mod p exactly when it is
-    one mod p^e.  At the root 0, y is the canonical root of r/m (y0 itself
-    at e = 1, since p - y0 would hit too).
+    _norm_residue takes the first y0 with r - m*y0^2 a square mod p (a unit
+    is a square mod p exactly when it is one mod p^e), so the table is
+    filled pass by pass over y0.  The y0 = 0 pass is roots itself: every
+    square unit takes its own root and every non-unit (0, 0).  The pass for
+    y0 reads roots[(r - m*y0^2) % p^e] off one rotated copy of roots at the
+    slots still empty.  A hit with the root 0 is r = m*y0^2 mod p; there y
+    is the canonical root of r/m (y0 itself at e = 1, since p - y0 would
+    hit too).  After the passes for y0 = 1 and 2, about one residue in
+    eight is left, and each of those scans y0 upward alone.
     """
     pe = p**e
-    xs = [0] * pe
-    ys = [0] * pe
     m %= pe
     m_inv = pow(m, -1, pe)
-    for r in range(1, pe):  # a non-unit r stops at y0 = 0 with (0, 0)
-        for y0 in range(p):
+    xs = roots[:]
+    ys = [0] * pe
+    empty = [r for r, x in enumerate(xs) if x is None]
+    for y0 in (1, 2):  # y0 < p, since p >= 3
+        t = m * y0 * y0 % pe
+        shifted = roots[pe - t :] + roots[: pe - t]  # shifted[r] = roots[(r - t) % pe]
+        left = []
+        for r in empty:
+            x0 = shifted[r]
+            if x0 is None:
+                left.append(r)
+            else:
+                xs[r] = x0
+                ys[r] = y0 if x0 else roots[r * m_inv % pe]
+        empty = left
+    for r in empty:
+        for y0 in range(3, p):
             x0 = roots[(r - m * y0 * y0) % pe]
             if x0 is not None:
                 xs[r] = x0
@@ -356,6 +374,29 @@ def _norm_residue_table(m: int, p: int, e: int, roots) -> tuple[list, list]:
     return xs, ys
 
 
+def _component_column(m: int, units: list, powers: list, level: int) -> list:
+    """The branch +1 components (x, m*y; -y, x) of m over the units lambda
+    mod the level, with x^2 + m*y^2 = lambda and (x, y) mod each p^e the
+    table entry of m at lambda mod p^e.  powers holds, per prime power,
+    (p, e, its CRT idempotent, _canonical_roots(p, e), lambda mod p^e per
+    unit)."""
+    if len(powers) == 1:  # a prime power: the idempotent is 1, lambda its own residue
+        p, e, _, roots, _ = powers[0]
+        xs, ys = _norm_residue_table(m, p, e, roots)
+        x, y = list(map(xs.__getitem__, units)), list(map(ys.__getitem__, units))
+    else:
+        x = y = [0] * len(units)
+        for p, e, idem, roots, residues in powers:
+            xs, ys = _norm_residue_table(m, p, e, roots)
+            x = [a + xs[r] * idem for a, r in zip(x, residues)]
+            y = [b + ys[r] * idem for b, r in zip(y, residues)]
+        x, y = [a % level for a in x], [b % level for b in y]
+    new_modmat = tuple.__new__
+    # each entry reduced, as ModMat(x, m * y, -y, x, level) would store it,
+    # with one int object for a and d
+    return [new_modmat(ModMat, (a, m * b % level, -b % level, a, level)) for a, b in zip(x, y)]
+
+
 def surjective_common_det(support, level: int) -> dict:
     """For every unit lambda mod the level, a branch +1 shadow of common
     determinant lambda.
@@ -364,10 +405,16 @@ def surjective_common_det(support, level: int) -> dict:
     otherwise LevelObstruction (unit values of the norm form are constrained
     at shared primes and a single matrix witness need not exist).  For each
     support entry m and each prime power p^e of the level, one table holds
-    norm_residue_witness(m, r, p, e) for every unit r mod p^e: phi(p^e)
-    entries, read off one list of the canonical square roots mod p^e.
-    Each lambda then combines its table entries with the CRT idempotents of
-    the level, computed once.
+    norm_residue_witness(m, r, p, e) for every unit r mod p^e, filled by
+    whole passes over one list of the canonical square roots mod p^e.
+
+    The answer is then built a column at a time over the units, which the
+    sieve of units_mod lists.  At a prime-power level the x and y columns
+    are read straight off the tables.  At any other level each prime power
+    adds its table column times its CRT idempotent, and the sums are
+    reduced once.  One comprehension per support entry turns its two
+    columns into the components, and the shadows are the rows of those
+    component columns.
 
     The support and level are checked once, with GaloisShadow's messages,
     before the good-level test.  The shadows skip GaloisShadow's
@@ -380,35 +427,21 @@ def surjective_common_det(support, level: int) -> dict:
     _check_support_and_level(support, level)
     if not is_good_level(level, support):
         raise LevelObstruction(level, support)
-    # per support entry, per prime power p^e: p^e, its CRT idempotent (1 mod
-    # p^e, 0 mod the rest of the level) and the (xs, ys) table of m mod p^e
-    rows = [[] for _ in support]
+    units = units_mod(level)  # [0] at level 1: the det 1 % 1 of the key 1
+    powers = []
     for p, e in factor(level).factors:
         pe = p**e
         cofactor = level // pe
-        idem = cofactor * pow(cofactor, -1, pe)
+        residues = [lam % pe for lam in units] if pe < level else units
         # one roots list per prime power: the support's tables share its ints
-        roots = _canonical_roots(p, e)
-        for m, row in zip(support, rows):
-            row.append((pe, idem, *_norm_residue_table(m, p, e, roots)))
-    out = {}
-    units = units_mod(level) if level > 1 else [1]  # level 1 keeps its key 1, not 0
-    new_modmat = tuple.__new__
-    for lam in units:
-        comps = []
-        for m, row in zip(support, rows):
-            x = y = 0
-            for pe, idem, xs, ys in row:
-                r = lam % pe
-                x += xs[r] * idem
-                y += ys[r] * idem
-            # the branch +1 shape (x, m*y; -y, x) with its entries reduced,
-            # built as ModMat(x, m * y, -y, x, level) would build it
-            x %= level
-            comps.append(new_modmat(ModMat, (x, m * y % level, -y % level, x, level)))
-        # det is lam's own object, or 1 % 1 = 0 at level 1
-        out[lam] = GaloisShadow._trusted(support, tuple(comps), 1, lam if level > 1 else 0, level)
-    return out
+        powers.append((p, e, cofactor * pow(cofactor, -1, pe), _canonical_roots(p, e), residues))
+    columns = [_component_column(m, units, powers, level) for m in support]
+    del powers
+    rows = zip(*columns) if columns else [()] * len(units)
+    trusted = GaloisShadow._trusted
+    # each det is its key's own object, and 1 % 1 = 0 at level 1
+    keys = units if level > 1 else [1]
+    return {lam: trusted(support, comps, 1, det, level) for lam, det, comps in zip(keys, units, rows)}
 
 
 # -- structure maps ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd
 
 from .errors import PrecisionObstruction
@@ -386,7 +386,15 @@ def intersect_progressions(p1, p2):
 
 def units_mod(n: int, limit: int | None = None) -> list:
     """The units of Z/n as residues in [0, n), increasing ([0] for n = 1,
-    the one n with gcd(0, n) = 1); only the first `limit` of them when a
-    limit is given."""
-    units = (x for x in range(n) if gcd(x, n) == 1)
-    return list(units if limit is None else islice(units, limit))
+    the one n with gcd(0, n) = 1), for n >= 1; only the first `limit` of
+    them when a limit is given.
+
+    Without a limit, the multiples of each prime of n are struck out of a
+    row of flags, so the cost is n steps in C, not n gcds.  A limit keeps
+    the lazy gcd scan, which stops after `limit` units at any n."""
+    if limit is not None:
+        return list(islice((x for x in range(n) if gcd(x, n) == 1), limit))
+    flags = bytearray(b"\x01") * n
+    for p, _ in factor(n).factors:
+        flags[::p] = bytes(len(range(0, n, p)))
+    return list(compress(range(n), flags))

@@ -298,6 +298,22 @@ class TestTotalCli:
         assert proc.stderr.startswith("error: cannot read JSON input: ")
         assert "Traceback" not in proc.stderr
 
+    # json.load itself refuses an integer literal past the interpreter's
+    # 4,300-digit int-to-str limit, before any schema sees the request
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    def test_over_long_integer_literal_exit_two(self, tmp_path, source):
+        text = '{"tau": {"m": 5, "p": [' + "7" * 5000 + ', 1], "q": [2, 1]}}'
+        if source == "stdin":
+            proc = run_cli(["orbit"], text)
+        else:
+            path = tmp_path / "request.json"
+            path.write_text(text)
+            proc = run_cli(["orbit", "--in", str(path)])
+        assert proc.returncode == cli.EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot read JSON input: Exceeds the limit (4300 digits)")
+        assert "Traceback" not in proc.stderr
+
     def test_long_numerator_rejected_before_work(self):
         # valid but for its size: the answer was computed, and then its
         # 4,400-digit norm_matrix_det overran the int-to-str limit in _emit

@@ -8,7 +8,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmcurve import adele, galois
+from cmcurve import adele, galois, numth
 from cmcurve.adele import ShapeKind, shape_matrix_mod, shape_test
 from cmcurve.errors import LevelObstruction, NormObstruction, UnsupportedOrbit
 from cmcurve.galois import (
@@ -267,10 +267,14 @@ class TestSurjectivity:
                 units = [x for x in range(1, n) if gcd(x, n) == 1]
                 assert sorted(shadows) == units
 
-    def test_answer_shares_int_objects(self):
+    # a prime, two products of three primes and prime powers with e = 2
+    # and e = 7: every way the columns are built
+    @pytest.mark.parametrize("level", [1009, 1001, 1105, 169, 2187])
+    def test_answer_shares_int_objects(self, level):
         # the answer has phi(N) shadows: each det is its key's object, and
         # each branch +1 component stores one object for a = d
-        shadows = surjective_common_det((1, 2), 1009)
+        shadows = surjective_common_det((1, 2), level)
+        assert len(shadows) == len([x for x in range(level) if gcd(x, level) == 1])
         for lam, sigma in shadows.items():
             assert sigma.det is lam
             for comp in sigma.components:
@@ -306,6 +310,12 @@ class TestSurjectivity:
     def test_identity_witness(self):
         shadows = surjective_common_det((1, 2, 3), 7)
         assert shadow_eq(shadows[1], identity_shadow((1, 2, 3), 7))
+
+    def test_empty_support(self):
+        shadows = surjective_common_det((), 7)
+        assert list(shadows) == [1, 2, 3, 4, 5, 6]
+        for lam, sigma in shadows.items():
+            assert sigma == GaloisShadow((), (), 1, lam, 7)
 
 
 class TestExactSequence:
@@ -530,6 +540,33 @@ class TestCommonDetTables:
                     for r in range(pe):
                         if r % p:
                             assert (xs[r], ys[r]) == _norm_residue(m, r, p, e), (m, r, p, e)
+
+
+class TestCommonDetColumns:
+    """surjective_common_det builds one table per support entry and prime
+    power and reads every unit off it, and it lists the units with no gcd
+    per residue."""
+
+    @pytest.mark.parametrize("level,tables", [(1009, 2), (1001, 6), (2187, 2)])
+    def test_one_table_per_entry_and_prime_power(self, monkeypatch, level, tables):
+        calls = {"_norm_residue": 0, "_norm_residue_table": 0, "gcd": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        numth.factor(level)  # factoring is cached, and is not the units scan
+        counting(galois, "_norm_residue")
+        counting(galois, "_norm_residue_table")
+        counting(numth, "gcd")
+        phi = len([x for x in range(level) if gcd(x, level) == 1])
+        assert len(surjective_common_det((1, 2), level)) == phi
+        assert calls == {"_norm_residue": 0, "_norm_residue_table": tables, "gcd": 0}
 
 
 class TestTrustedShadows:

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmcurve.numth import (
     INF,
@@ -202,6 +203,10 @@ class TestCrt:
             crt([(1, m) for m in moduli])
 
 
+PRIMES_BELOW_150 = [p for p in range(2, 150) if all(p % d for d in range(2, p))]
+UNITS_BOUND = 20000
+
+
 class TestUnitsMod:
     def test_against_gcd_filter(self):
         for n in range(2, 60):
@@ -209,8 +214,28 @@ class TestUnitsMod:
             assert units_mod(n) == expected
             assert units_mod(n, limit=3) == expected[:3]
 
+    # the sieve without a limit and the lazy scan with one, at prime powers
+    # (one prime struck), at products of three or more primes (several
+    # strikes, some repeated) and at even n (every other flag struck first)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(1, UNITS_BOUND),
+            st.sampled_from([p**e for p in PRIMES_BELOW_150 for e in range(1, 15) if p**e <= UNITS_BOUND]),
+            st.lists(st.sampled_from(PRIMES_BELOW_150), min_size=3, max_size=7)
+            .map(prod)
+            .filter(lambda n: n <= UNITS_BOUND),
+            st.integers(1, UNITS_BOUND // 2).map(lambda k: 2 * k),
+        ),
+        limit=st.sampled_from([0, 1, 3, None]),
+    )
+    def test_against_gcd_filter_to_20000(self, n, limit):
+        expected = [x for x in range(n) if gcd(x, n) == 1]
+        assert units_mod(n, limit) == (expected if limit is None else expected[:limit])
+
     def test_level_one(self):
         assert units_mod(1) == [0]
+        assert units_mod(1, limit=3) == [0]
 
 
 class TestGcdHelpers:
