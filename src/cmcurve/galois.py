@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .adele import (
     ShapeKind,
@@ -30,7 +31,7 @@ from .errors import (
     NormObstruction,
     UnsupportedOrbit,
 )
-from .matrices import ModMat, identity_mod
+from .matrices import ModMat, _Value, identity_mod
 from .numth import (
     factor,
     is_prime,
@@ -55,67 +56,56 @@ def _check_support_and_level(support, level) -> None:
         raise ValueError("level must be an int >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class GaloisShadow:
-    """The public constructor is the boundary: it checks every field, and
-    every shadow it returns has a unit det and components that pass the
+class GaloisShadow(_Value):
+    """A level-N shadow: the tuple (support, components, branch, det, level).
+
+    support holds distinct square-free positive integers, in order, and
+    components one ModMat per supported orbit; the fields are read-only
+    views.  The public constructor is the boundary: it checks every field,
+    and every shadow it returns has a unit det and components that pass the
     branch's shape test with that det.  Only surjective_common_det, whose
-    tables build each shadow correct by construction, uses _trusted."""
+    tables build each shadow correct by construction, makes the tuple
+    directly."""
 
-    support: tuple  # distinct square-free positive integers, ordered
-    components: tuple  # one ModMat per supported orbit
-    branch: int
-    det: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.level
-        if self.branch not in (1, -1):
+    def __new__(cls, support, components, branch, det, level):
+        if branch not in (1, -1):
             raise ValueError("branch must be +-1")
-        _check_support_and_level(self.support, n)
-        if len(self.support) != len(self.components):
+        _check_support_and_level(support, level)
+        if len(support) != len(components):
             raise ValueError("support/component length mismatch")
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "components", tuple(self.components))
-        if type(self.det) is not int or not 0 <= self.det < n:
+        support, components = tuple(support), tuple(components)
+        if type(det) is not int or not 0 <= det < level:
             # a det already in range keeps its object, shared with the
             # caller's lambda (surjective_common_det's keys)
-            object.__setattr__(self, "det", self.det % n)
-        if gcd(self.det, n) != 1:
+            det %= level
+        if gcd(det, level) != 1:
             raise ValueError("det must be a unit mod the level")
-        for m, comp in zip(self.support, self.components):
-            if comp.n != n:
+        for m, comp in zip(support, components):
+            if comp.n != level:
                 raise ValueError("component level mismatch")
-            ok, _ = shape_test(comp, ShapeKind(m, self.branch))
+            ok, _ = shape_test(comp, ShapeKind(m, branch))
             if not ok:
-                raise ValueError(f"component for m={m} fails the branch {self.branch} shape test")
-            if comp.det() != self.det:
+                raise ValueError(f"component for m={m} fails the branch {branch} shape test")
+            if comp.det() != det:
                 raise ValueError("components must share the common determinant")
+        return tuple.__new__(cls, (support, components, branch, det, level))
 
-    @classmethod
-    def _trusted(cls, support: tuple, components: tuple, branch: int, det: int, level: int):
-        """A shadow from fields already known to pass __post_init__, stored
-        as given with no check."""
-        self = _new_obj(cls)
-        _set_support(self, support)
-        _set_components(self, components)
-        _set_branch(self, branch)
-        _set_det(self, det)
-        _set_level(self, level)
-        return self
+    support = property(itemgetter(0))
+    components = property(itemgetter(1))
+    branch = property(itemgetter(2))
+    det = property(itemgetter(3))
+    level = property(itemgetter(4))
+
+    def __repr__(self):
+        return "GaloisShadow(support={!r}, components={!r}, branch={!r}, det={!r}, level={!r})".format(*self)
 
     def component_for(self, m: int) -> ModMat:
         try:
             return self.components[self.support.index(m)]
         except ValueError:
             raise UnsupportedOrbit(m) from None
-
-
-_new_obj = object.__new__
-# the slots' own setters, which the frozen class's __setattr__ does not reach
-_set_support, _set_components, _set_branch, _set_det, _set_level = (
-    getattr(GaloisShadow, slot).__set__ for slot in GaloisShadow.__slots__
-)
 
 
 def identity_shadow(support, level: int) -> GaloisShadow:
@@ -438,10 +428,13 @@ def surjective_common_det(support, level: int) -> dict:
     columns = [_component_column(m, units, powers, level) for m in support]
     del powers
     rows = zip(*columns) if columns else [()] * len(units)
-    trusted = GaloisShadow._trusted
+    new_shadow = tuple.__new__
     # each det is its key's own object, and 1 % 1 = 0 at level 1
     keys = units if level > 1 else [1]
-    return {lam: trusted(support, comps, 1, det, level) for lam, det, comps in zip(keys, units, rows)}
+    return {
+        lam: new_shadow(GaloisShadow, (support, comps, 1, det, level))
+        for lam, det, comps in zip(keys, units, rows)
+    }
 
 
 # -- structure maps ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact 2x2 matrices: rational (integer numerators over a common
 denominator) and modular (ints mod N).
 
-Everything is immutable and hashable.  Mat2 is the workhorse for GL2(Q) and
+Both are value tuples, as is galois.GaloisShadow: immutable, hashable, equal
+only to a value of their own type, and rebuilt through their public
+constructor when copied or pickled.  Mat2 is the workhorse for GL2(Q) and
 SL2(Z) data; ModMat carries reductions mod a level N >= 1 (N = 1 is the
 trivial level where every entry is 0).
 """
@@ -15,90 +17,129 @@ from operator import itemgetter
 from .numth import ext_gcd, require_coprime
 
 
-class Mat2:
-    """Immutable 2x2 matrix with exact rational entries.
+class _Value(tuple):
+    """A tuple that is a value of its own: it equals only a value of the same
+    type, never a plain tuple, and the tuple's concatenation, repetition and
+    ordering are switched off.  Construction, hash and unpacking run in the
+    tuple's C code; copies and pickles go through the public constructor,
+    with the arguments __getnewargs__ gives, so they get its checks."""
 
-    Stored as four integer numerators an, bn, cn, dn over one positive
-    common denominator den, in lowest terms (the gcd of all five is 1), so
-    products, inverses and reductions mod N are integer work, and integral
-    matrices (den == 1) never take a gcd.  The entry views a, b, c, d,
-    entries and det() are Fractions, as is every entry the constructor
-    accepts.
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(other) is not type(self) or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
+    # a value is no sequence: v + v, v * 2, 2 * v and v < v raise TypeError
+    __add__ = __radd__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __reduce__(self):
+        return type(self), self.__getnewargs__()
+
+
+_new_tuple = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class Mat2(_Value):
+    """Immutable 2x2 matrix with exact rational entries: the tuple
+    (an, bn, cn, dn, den).
+
+    Four integer numerators over one positive common denominator den, in
+    lowest terms (the gcd of all five is 1), so products, inverses and
+    reductions mod N are integer work, and integral matrices (den == 1)
+    never take a gcd.  The entry views a, b, c, d, entries and det() are
+    Fractions, as is every entry the constructor accepts.
     """
 
-    __slots__ = ("an", "bn", "cn", "dn", "den")
+    __slots__ = ()
 
-    def __init__(self, a, b, c, d):
+    def __new__(cls, a, b, c, d):
         if type(a) is type(b) is type(c) is type(d) is int:
-            _fill(self, a, b, c, d, 1)
-            return
+            return _new_tuple(cls, (a, b, c, d, 1))
         a, b, c, d = (x if type(x) is Fraction else Fraction(x) for x in (a, b, c, d))
         da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
         den = lcm(da, db, dc, dd)
-        _fill(
-            self,
-            a.numerator * (den // da),
-            b.numerator * (den // db),
-            c.numerator * (den // dc),
-            d.numerator * (den // dd),
-            den,
+        return _new_tuple(
+            cls,
+            (
+                a.numerator * (den // da),
+                b.numerator * (den // db),
+                c.numerator * (den // dc),
+                d.numerator * (den // dd),
+                den,
+            ),
         )
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
 
     # -- structure ---------------------------------------------------------
 
+    an = property(itemgetter(0))
+    bn = property(itemgetter(1))
+    cn = property(itemgetter(2))
+    dn = property(itemgetter(3))
+    den = property(itemgetter(4))
+
     @property
     def a(self) -> Fraction:
-        return _entry(self.an, self.den)
+        return _entry(self[0], self[4])
 
     @property
     def b(self) -> Fraction:
-        return _entry(self.bn, self.den)
+        return _entry(self[1], self[4])
 
     @property
     def c(self) -> Fraction:
-        return _entry(self.cn, self.den)
+        return _entry(self[2], self[4])
 
     @property
     def d(self) -> Fraction:
-        return _entry(self.dn, self.den)
+        return _entry(self[3], self[4])
 
     @property
     def entries(self):
-        den = self.den
-        return (_entry(self.an, den), _entry(self.bn, den), _entry(self.cn, den), _entry(self.dn, den))
+        an, bn, cn, dn, den = self
+        return (_entry(an, den), _entry(bn, den), _entry(cn, den), _entry(dn, den))
 
     def det(self) -> Fraction:
-        return _entry(self.det_numerator(), self.den * self.den)
+        den = self[4]
+        return _entry(self.det_numerator(), den * den)
 
     def det_numerator(self) -> int:
         """ad - bc of the numerators: det() times den^2, so it has the sign
         of det() and, away from the primes of den, its primes."""
-        return self.an * self.dn - self.bn * self.cn
+        an, bn, cn, dn, _ = self
+        return an * dn - bn * cn
 
     def is_integral(self) -> bool:
-        return self.den == 1
+        return self[4] == 1
 
     def is_unimodular(self) -> bool:
         """Integer entries and determinant exactly +1."""
-        return self.den == 1 and self.det_numerator() == 1
+        return self[4] == 1 and self.det_numerator() == 1
 
     def is_gl2z(self) -> bool:
-        return self.den == 1 and self.det_numerator() in (1, -1)
+        return self[4] == 1 and self.det_numerator() in (1, -1)
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        a, b, c, d = self.an, self.bn, self.cn, self.dn
-        p, q, r, s = other.an, other.bn, other.cn, other.dn
-        return _reduced(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, self.den * other.den)
+        if type(other) is not Mat2:  # any 5-tuple would unpack
+            return NotImplemented
+        a, b, c, d, e = self
+        p, q, r, s, f = other
+        return _reduced(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s, e * f)
 
     def inv(self) -> "Mat2":
         # (N / e)^-1 = e * adj(N) / det(N)
-        a, b, c, d, e = self.an, self.bn, self.cn, self.dn, self.den
-        det = self.det_numerator()
+        a, b, c, d, e = self
+        det = a * d - b * c
         if det == 0:
             raise ZeroDivisionError("singular matrix")
         if det < 0:
@@ -106,20 +147,11 @@ class Mat2:
         return _reduced(e * d, -e * b, -e * c, e * a, det)
 
     def __neg__(self) -> "Mat2":
-        return _new(-self.an, -self.bn, -self.cn, -self.dn, self.den)
+        an, bn, cn, dn, den = self
+        return _new_tuple(Mat2, (-an, -bn, -cn, -dn, den))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mat2)
-            and self.an == other.an
-            and self.bn == other.bn
-            and self.cn == other.cn
-            and self.dn == other.dn
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.an, self.bn, self.cn, self.dn, self.den))
+    def __getnewargs__(self):
+        return self.entries
 
     def __repr__(self):
         return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
@@ -130,36 +162,14 @@ class Mat2:
         """Reduce mod n; requires entry denominators coprime to n.  The
         obstruction names the smallest prime of n dividing the denominator
         of the first entry that meets n."""
-        den = self.den
+        an, bn, cn, dn, den = self
         if den == 1:
-            return ModMat(self.an, self.bn, self.cn, self.dn, n)
+            return ModMat(an, bn, cn, dn, n)
         if gcd(den, n) != 1:
-            for x in (self.an, self.bn, self.cn, self.dn):
+            for x in (an, bn, cn, dn):
                 require_coprime(n, den // gcd(x, den))
         di = pow(den, -1, n)
-        return ModMat(self.an * di, self.bn * di, self.cn * di, self.dn * di, n)
-
-
-_new_obj = object.__new__
-_set_an, _set_bn, _set_cn, _set_dn, _set_den = (
-    getattr(Mat2, slot).__set__ for slot in Mat2.__slots__
-)
-
-
-def _fill(m: Mat2, an: int, bn: int, cn: int, dn: int, den: int) -> None:
-    _set_an(m, an)
-    _set_bn(m, bn)
-    _set_cn(m, cn)
-    _set_dn(m, dn)
-    _set_den(m, den)
-
-
-def _new(an: int, bn: int, cn: int, dn: int, den: int) -> Mat2:
-    """A Mat2 from numerators and a positive denominator already in lowest
-    terms."""
-    m = _new_obj(Mat2)
-    _fill(m, an, bn, cn, dn, den)
-    return m
+        return ModMat(an * di, bn * di, cn * di, dn * di, n)
 
 
 def _reduced(an: int, bn: int, cn: int, dn: int, den: int) -> Mat2:
@@ -169,21 +179,19 @@ def _reduced(an: int, bn: int, cn: int, dn: int, den: int) -> Mat2:
         g = gcd(an, bn, cn, dn, den)
         if g != 1:
             an, bn, cn, dn, den = an // g, bn // g, cn // g, dn // g, den // g
-    return _new(an, bn, cn, dn, den)
+    return _new_tuple(Mat2, (an, bn, cn, dn, den))
 
 
 def _entry(num: int, den: int) -> Fraction:
     return Fraction(num) if den == 1 else Fraction(num, den)
 
 
-class ModMat(tuple):
+class ModMat(_Value):
     """2x2 matrix over Z/N, N >= 1: the tuple (a, b, c, d, n), entries
     stored in [0, N).
 
-    A tuple, so construction, hash and unpacking run in the tuple's C code;
-    hot loops unpack it (a, b, c, d, n = m) rather than read the read-only
-    views.  A ModMat equals only another ModMat, and the tuple's
-    concatenation, repetition and ordering are switched off.
+    Hot loops unpack it (a, b, c, d, n = m) rather than read the read-only
+    views.
     """
 
     __slots__ = ()
@@ -216,6 +224,8 @@ class ModMat(tuple):
         return gcd(a * d - b * c, n) == 1
 
     def __mul__(self, other: "ModMat") -> "ModMat":
+        if type(other) is not ModMat:  # any 5-tuple would unpack
+            return NotImplemented
         a, b, c, d, n = self
         p, q, r, s, m = other
         if n != m:
@@ -245,23 +255,8 @@ class ModMat(tuple):
             raise ValueError(f"{m} does not divide modulus {n}")
         return ModMat(a, b, c, d, m)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is ModMat and _tuple_eq(self, other)
-
-    def __ne__(self, other) -> bool:
-        return type(other) is not ModMat or _tuple_ne(self, other)
-
-    __hash__ = tuple.__hash__
-    # a matrix is no sequence: m + m, 2 * m and m < m raise TypeError
-    __add__ = __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
-
     def __repr__(self):
         return "ModMat({}, {}, {}, {}, mod={})".format(*self)
-
-
-_new_tuple = tuple.__new__
-_tuple_eq = tuple.__eq__
-_tuple_ne = tuple.__ne__
 
 
 # -- common constant matrices ----------------------------------------------
@@ -311,5 +306,5 @@ def sl2_lift(m: ModMat) -> Mat2:
     b2 = b1 + t * d1
     if a2 * d1 - b2 * c0 != 1 or (a2 % n, b2 % n, c0 % n, d1 % n) != (a, b, c, d):
         raise ArithmeticError(f"sl2_lift produced no lift of {m}")  # pragma: no cover
-    return _new(a2, b2, c0, d1, 1)
+    return _new_tuple(Mat2, (a2, b2, c0, d1, 1))
 

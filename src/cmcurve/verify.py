@@ -3,7 +3,8 @@
 Each check is a function of a SuiteConfig returning a JSON-able detail dict
 and raising CheckFailure with a counterexample on defect.  Obstructions
 (bad levels, precision) are reported as their own status rather than as
-failures; randomness is always seeded from the config.
+failures; any other exception a check raises is a failure that names the
+exception.  Randomness is always seeded from the config.
 
 The brute-force reference computations (exhaustive reduction search, bounded
 rational stabilizer scans, full shadow enumeration) are implemented here,
@@ -103,6 +104,9 @@ def _run(name, fn, cfg) -> CheckOutcome:
     except Obstruction as exc:
         detail = {"obstruction": str(exc)}
         status = "obstructed"
+    except Exception as exc:  # a defect in the code under check, not bad input
+        detail = {"exception": type(exc).__name__, "message": str(exc)}
+        status = "fail"
     return CheckOutcome(name, status, time.perf_counter() - start, detail)
 
 

@@ -773,6 +773,28 @@ class TestVerifyCommand:
         assert cli.main(["verify", "shadows", "--out", str(out)]) == cli.EXIT_OBSTRUCTED
         assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["obstructed"]
 
+    # a defect inside a check is a failure of that check, not bad input or
+    # a traceback, and the suite runs on after it
+    @pytest.mark.parametrize(
+        "exc", [ValueError("bad branch"), ArithmeticError("no lift")], ids=lambda exc: type(exc).__name__
+    )
+    def test_check_that_raises_fails(self, tmp_path, capsys, monkeypatch, exc):
+        def check_defective(cfg):
+            raise exc
+
+        checks = [("defective", check_defective), ("trivial", lambda cfg: {"ok": 1})]
+        monkeypatch.setitem(verify.SUITES, "shadows", checks)
+        out = tmp_path / "rep.json"
+        assert cli.main(["verify", "shadows", "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+        rep = json.loads(out.read_text())
+        assert rep["status"] == "fail"
+        assert [(c["name"], c["status"], c["detail"]) for c in rep["checks"]] == [
+            ("defective", "fail", {"exception": type(exc).__name__, "message": str(exc)}),
+            ("trivial", "pass", {"ok": 1}),
+        ]
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL       shadows:defective") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags",
         [["--level", "5"], ["--support", "1,2"], ["--count", "10"], ["--strict-good-level"]],

@@ -611,25 +611,31 @@ class TestTrustedShadows:
 
     def test_components_skip_the_public_constructors(self, monkeypatch):
         # each component is built as its reduced tuple: no shape_matrix_mod
-        # call and no ModMat.__new__ (the sums are reduced once, here)
-        calls = {"shape_matrix_mod": 0, "ModMat": 0}
+        # call and no ModMat.__new__ (the sums are reduced once, here), and
+        # each shadow as its tuple: no GaloisShadow.__new__
+        calls = {"shape_matrix_mod": 0, "ModMat": 0, "GaloisShadow": 0}
 
         def shape_matrix_mod(*args):
             calls["shape_matrix_mod"] += 1
             return adele_shape_matrix_mod(*args)
 
-        def new(cls, *args):
-            calls["ModMat"] += 1
-            return modmat_new(cls, *args)
+        def counting_new(name, original):
+            def new(cls, *args):
+                calls[name] += 1
+                return original(cls, *args)
+
+            return new
 
         adele_shape_matrix_mod = adele.shape_matrix_mod
-        modmat_new = ModMat.__new__
         monkeypatch.setattr(adele, "shape_matrix_mod", shape_matrix_mod)
         monkeypatch.setattr(galois, "shape_matrix_mod", shape_matrix_mod, raising=False)
-        monkeypatch.setattr(ModMat, "__new__", new)
+        for cls in (ModMat, GaloisShadow):
+            monkeypatch.setattr(cls, "__new__", counting_new(cls.__name__, cls.__new__))
         assert ModMat(1, 0, 0, 1, 5) == identity_mod(5) and calls["ModMat"] == 2
-        calls["ModMat"] = 0
+        assert GaloisShadow((), (), 1, 1, 5) == identity_shadow((), 5) and calls["GaloisShadow"] == 2
+        calls["ModMat"] = calls["GaloisShadow"] = 0
         shadows = surjective_common_det((1, 2), 1009)
         assert len(shadows) == 1008
-        assert calls == {"shape_matrix_mod": 0, "ModMat": 0}
+        assert calls == {"shape_matrix_mod": 0, "ModMat": 0, "GaloisShadow": 0}
         assert all(type(c) is ModMat for sigma in shadows.values() for c in sigma.components)
+        assert all(type(sigma) is GaloisShadow for sigma in shadows.values())

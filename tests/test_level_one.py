@@ -68,11 +68,18 @@ from cmcurve.shimura import (
 ORBITS = (1, 2, 3, 5, 6, 7)
 
 
+SHADOW_FIELDS = ("support", "components", "branch", "det", "level")
+
+
 def show(x) -> str:
     """A deterministic text form of a result: sets are sorted, dataclasses
-    are spelled out field by field, exceptions by type and message."""
+    and shadows are spelled out field by field, exceptions by type and
+    message."""
     if isinstance(x, BaseException):
         return f"raise {type(x).__name__}({x})"
+    if isinstance(x, GaloisShadow):  # a tuple, spelled out as a dataclass is
+        fields = ", ".join(f"{name}={show(v)}" for name, v in zip(SHADOW_FIELDS, x))
+        return f"GaloisShadow({fields})"
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         fields = ", ".join(f"{f.name}={show(getattr(x, f.name))}" for f in dataclasses.fields(x))
         return f"{type(x).__name__}({fields})"
@@ -81,7 +88,7 @@ def show(x) -> str:
     if isinstance(x, dict):
         items = sorted((show(k), show(v)) for k, v in x.items())
         return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-    if isinstance(x, ModMat):  # a tuple, but shown as the matrix it is
+    if isinstance(x, (Mat2, ModMat)):  # a tuple, but shown as the matrix it is
         return repr(x)
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(show(v) for v in x) + "]"

@@ -1,16 +1,23 @@
 """Mat2 (integer numerators over one common denominator) against the
 Fraction-entry FractionMat2 oracle, ModMat against the plain-integer
-PlainModMat oracle, plus the algebraic laws and ModMat's value semantics."""
+PlainModMat oracle, plus the algebraic laws and the value semantics that
+Mat2, ModMat and GaloisShadow share."""
 
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmcurve.approx import ApproxPoint
 from cmcurve.errors import PrecisionObstruction
+from cmcurve.galois import GaloisShadow, identity_shadow, surjective_common_det
 from cmcurve.matrices import IDENTITY, Mat2, ModMat, identity_mod
 from cmcurve.numth import require_coprime
+from cmcurve.shimura import LevelPoint
 from oracles import FractionMat2, PlainModMat, noninvertible_primes_per_entry
 
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -269,18 +276,48 @@ def test_modmat_modulus_checks():
         identity_mod(5) * identity_mod(7)
 
 
+def shape_shadow(x, y, n, k=0):
+    """The one-orbit (m = 1) branch +1 shadow of (x, y; -y, x) mod n, with
+    its entries and det given k * n off their residues."""
+    comp = ModMat(x + k * n, y - k * n, -y + k * n, x, n)
+    return GaloisShadow((1,), (comp,), 1, x * x + y * y + k * n, n)
+
+
+def value_cases():
+    """(value, an equal value built from other inputs, an unequal value of
+    the same type, attributes that cannot be set) for each value tuple."""
+    shadow = surjective_common_det((1, 2), 7)[3]
+    return [
+        (Mat2(2, 3, 1, 2), Mat2(Fraction(4, 2), 3.0, "1", 2), Mat2(2, 3, 1, Fraction(2, 3)),
+         ("an", "den", "a", "entries")),
+        (ModMat(2, 3, 1, 2, 15), ModMat(17, 3, 16, 2, 15), ModMat(2, 3, 1, 2, 5), ("a", "d", "n", "entries")),
+        (shadow, GaloisShadow([1, 2], [ModMat(*(x - 7 for x in c[:4]), 7) for c in shadow.components], 1, 10, 7),
+         shape_shadow(3, 1, 7), ("support", "components", "det", "level")),
+    ]
+
+
 class TestModMatValue:
-    """A ModMat is the tuple (a, b, c, d, n), but a value of its own: it equals
-    no plain tuple and has none of the tuple's arithmetic or ordering."""
+    """ModMat is the tuple (a, b, c, d, n), Mat2 the tuple (an, bn, cn, dn,
+    den) and GaloisShadow the tuple (support, components, branch, det,
+    level), but each is a value of its own: it equals no plain tuple and no
+    value of another type, and has none of the tuple's arithmetic or
+    ordering."""
 
     def test_never_equals_a_plain_tuple(self):
+        for g, same, other, _ in value_cases():
+            for t in (tuple(g), g[:4], tuple(same)):
+                assert not g == t and not t == g
+                assert g != t and t != g
+            assert g == same and not g != same
+            assert g != other and not g == other
+            assert g not in {tuple(g)} and g in {same}
+
+    def test_types_never_equal_each_other(self):
+        m = Mat2(Fraction(2, 15), Fraction(3, 15), Fraction(1, 15), Fraction(2, 15))
         g = ModMat(2, 3, 1, 2, 15)
-        for t in (tuple(g), g.entries, (2, 3, 1, 2, 15)):
-            assert not g == t and not t == g
-            assert g != t and t != g
-        assert g == ModMat(17, 3, 16, 2, 15) and not g != ModMat(17, 3, 16, 2, 15)
-        assert g != ModMat(2, 3, 1, 2, 5)
-        assert g not in {tuple(g)} and g in {ModMat(2, 3, 1, 2, 15)}
+        assert tuple(m) == tuple(g) and hash(m) == hash(g)
+        assert not m == g and not g == m and m != g and g != m
+        assert len({m, g}) == 2
 
     @PROPERTY
     @given(mod_quads, moduli, st.integers(-3, 3))
@@ -288,24 +325,88 @@ class TestModMatValue:
         g = ModMat(*q, n)
         h = ModMat(*(x + k * n for x in q), n)
         assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        scale = abs(k) + 1
+        m = Mat2(*q)
+        f = Mat2(*(Fraction(x * scale, scale) for x in q))
+        assert m == f and hash(m) == hash(f) and len({m, f}) == 1
+        x, y = q[:2]
+        assume(gcd(x * x + y * y, n) == 1)
+        s, t = shape_shadow(x, y, n), shape_shadow(x, y, n, k)
+        assert s == t and hash(s) == hash(t) and len({s, t}) == 1
 
     @pytest.mark.parametrize(
         "op",
         [lambda g: g + g, lambda g: 2 * g, lambda g: g < g, lambda g: g <= g,
-         lambda g: g > g, lambda g: g >= g, lambda g: g.entries + g],
+         lambda g: g > g, lambda g: g >= g, lambda g: g[:4] + g],
         ids=["add", "rmul", "lt", "le", "gt", "ge", "radd"],
     )
     def test_no_tuple_arithmetic(self, op):
-        with pytest.raises(TypeError):
-            op(ModMat(2, 3, 1, 2, 15))
+        for g, *_ in value_cases():
+            with pytest.raises(TypeError):
+                op(g)
+
+    def test_no_product_across_types(self):
+        # a Mat2 with den = n holds what a ModMat mod n would
+        m, g = Mat2(Fraction(1, 6), 0, 0, 1), identity_mod(6)
+        shadow = shape_shadow(3, 1, 7)
+        pairs = [(m, g), (g, m), (IDENTITY, identity_mod(1)), (identity_mod(1), IDENTITY), (shadow, shadow)]
+        for x, y in pairs + [(v, 2) for v, *_ in value_cases()]:
+            with pytest.raises(TypeError):
+                x * y
 
     def test_immutable(self):
-        g = ModMat(2, 3, 1, 2, 15)
-        for name in ("a", "d", "n", "entries", "other"):
-            with pytest.raises(AttributeError):
-                setattr(g, name, 1)
-        assert g == ModMat(2, 3, 1, 2, 15)
+        for g, same, _, names in value_cases():
+            for name in (*names, "other"):
+                with pytest.raises(AttributeError):
+                    setattr(g, name, 1)
+            assert g == same
 
     def test_repr(self):
         g = ModMat(2, 3, 1, 2, 15)
         assert repr(g) == str(g) == "ModMat(2, 3, 1, 2, mod=15)"
+        assert repr(Mat2(Fraction(1, 2), 0, 0, 2)) == "Mat2(1/2, 0, 0, 2)"
+        # the text the frozen dataclass GaloisShadow printed
+        assert repr(identity_shadow((1,), 5)) == (
+            "GaloisShadow(support=(1,), components=(ModMat(1, 0, 0, 1, mod=5),), branch=1, det=1, level=5)"
+        )
+        assert repr(surjective_common_det((1, 2), 7)[3]) == (
+            "GaloisShadow(support=(1, 2), components=(ModMat(3, 1, 6, 3, mod=7), ModMat(1, 2, 6, 1, mod=7)), "
+            "branch=1, det=3, level=7)"
+        )
+
+
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle0": lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+}
+
+
+@pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+def test_values_copy_and_pickle(copier):
+    point = LevelPoint.base(2, 7)
+    values = [
+        Mat2(Fraction(1, 2), -3, 0, Fraction(5, 6)),
+        IDENTITY,
+        ModMat(2, 3, 1, 2, 15),
+        identity_shadow((1,), 5),
+        surjective_common_det((1, 2), 7)[3],
+        point,
+        ApproxPoint(point),
+    ]
+    for v in values:
+        w = copier(v)
+        assert type(w) is type(v) and w == v and hash(w) == hash(v), v
+
+
+def test_pickle_rebuilds_through_the_constructor():
+    # a value forged past the constructor does not load: the stream is checked
+    # like any other input
+    identity = ModMat(1, 0, 0, 1, 5)
+    forged = tuple.__new__(GaloisShadow, ((1,), (identity,), 1, 2, 5))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="common determinant"):
+            pickle.loads(pickle.dumps(forged, protocol))
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        copy.copy(tuple.__new__(ModMat, (1, 0, 0, 1, 0)))
